@@ -3,12 +3,12 @@
     python3 perfbench/run.py --workload {shadow,family,oracle} --seed N
         --seconds T --trace {0,1} [--known-defects]
 
---trace 0 measures the end-to-end metrics: setup_s from fresh interpreters,
-then the workload in a fresh worker interpreter for at least T seconds and
-at least 100 ops, in whole rounds.  --trace 1 runs the workload for T/2
-seconds untraced, then the same rounds traced, each in a fresh worker, and
-reports the per-layer metrics and the tracing overhead; no end-to-end
-number comes from a traced run.
+--trace 0 measures the end-to-end metrics: the workload in a fresh worker
+interpreter for at least T seconds and at least 100 ops, in whole rounds,
+and setup_s from fresh interpreters started before and after it.  --trace 1
+runs the workload for T/3 seconds untraced, then the same rounds traced,
+each in a fresh worker, and reports the per-layer metrics and the tracing
+overhead; no end-to-end number comes from a traced run.
 
 The last line of stdout is one JSON object with the keys correct, attempted,
 failed and metrics.  Exit status is 0 when the run completed (whatever the
@@ -26,17 +26,23 @@ import subprocess
 import sys
 from collections import Counter
 
+import speed
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 
 MIN_OPS = 100  # so that at least 10 samples lie beyond the 90th percentile
-SETUP_STARTS = 11
+SETUP_STARTS = 21
 WORKER_TIMEOUT_S = 170
 
+# Times `import latfm`, then the speed kernel five times in the same
+# interpreter (after the import, so that the kernel's own `fractions` import
+# is not taken out of latfm's).
 IMPORT_PROBE = (
-    "import time; t = time.perf_counter(); import latfm; "
-    "print(time.perf_counter() - t)"
+    "import sys, time; t = time.perf_counter(); import latfm; t = time.perf_counter() - t; "
+    f"sys.path.insert(0, {HERE!r}); import speed; "
+    "print(t, *(speed.time_kernel() for _ in range(5)))"
 )
 
 
@@ -47,16 +53,19 @@ def _env() -> dict:
     return env
 
 
-def measure_setup_s() -> float:
-    """Median wall time of `import latfm` over fresh interpreters.  The first
-    start compiles the bytecode cache and is not counted."""
+def setup_samples(starts: int, compile_first: bool = False) -> list[tuple[float, float]]:
+    """(wall time, reference time) of `import latfm` in `starts` fresh
+    interpreters; the reference time is scaled by the speed kernel run right
+    after it.  With compile_first, one more start first writes the bytecode
+    cache and is not counted."""
     samples = []
-    for i in range(SETUP_STARTS + 1):
+    for i in range(starts + compile_first):
         proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=_env(),
                               capture_output=True, text=True, timeout=60, check=True)
-        if i:
-            samples.append(float(proc.stdout))
-    return statistics.median(samples)
+        wall, *kernel = map(float, proc.stdout.split())
+        if i or not compile_first:
+            samples.append((wall, wall * speed.factor(kernel)))
+    return samples
 
 
 def run_worker(args, *extra) -> dict:
@@ -81,62 +90,70 @@ def percentile_ms(ops, q: float, limit_s: float) -> float:
     return 1000 * (limit_s if failed else latency)
 
 
-def best_rounds(ops, limit_s: float) -> tuple[float, float, float, int]:
-    """(ops_per_s, op_p50_ms, op_p90_ms, ops in the p90 pool) from the
-    run's best rounds.
+def speed_factors(result) -> list[float]:
+    """Per op, the factor to the reference speed from the speed kernel's
+    samples nearest in time: up to speed.WINDOW taken before the op and as
+    many after it."""
+    samples = result["kernel_s"]
+    return [speed.factor(samples[max(0, op["kernel_at"] - speed.WINDOW):
+                                 op["kernel_at"] + speed.WINDOW])
+            for op in result["ops"]]
 
-    Rounds have identical stratum counts, and the 2-vCPU machine this was
-    tuned on switches between a fast and a 1.6x slower state lasting from
-    seconds to minutes.  Rounds are ranked by successful ops per second of
-    op time; the best one gives the rate and the median, and the fewest best
-    rounds that hold MIN_OPS ops give the 90th percentile."""
-    rounds: dict = {}
-    for op in ops:
-        rounds.setdefault(op["round"], []).append(op)
 
-    def rate(batch):
-        return sum(op["failure"] is None for op in batch) / sum(op["latency_s"] for op in batch)
+def at_reference_speed(result) -> list[dict]:
+    """The run's ops with each latency scaled to the reference speed."""
+    return [dict(op, latency_s=op["latency_s"] * factor)
+            for op, factor in zip(result["ops"], speed_factors(result))]
 
-    ranked = sorted(rounds.values(), key=rate, reverse=True)
-    pool = []
-    for batch in ranked:
-        pool += batch
-        if len(pool) >= MIN_OPS:
-            break
-    return (rate(ranked[0]), percentile_ms(ranked[0], 0.5, limit_s),
-            percentile_ms(pool, 0.9, limit_s), len(pool))
+
+def run_stats(ops, limit_s: float) -> tuple[float, float, float]:
+    """(ops_per_s, op_p50_ms, op_p90_ms) over every op of the run: successful
+    ops per second of op time, and the nearest-rank percentiles."""
+    ok = sum(op["failure"] is None for op in ops)
+    rate = ok / sum(op["latency_s"] for op in ops)
+    return rate, percentile_ms(ops, 0.5, limit_s), percentile_ms(ops, 0.9, limit_s)
 
 
 def end_to_end(args) -> tuple[dict, dict]:
-    setup_s = measure_setup_s()
+    # Half the set-up starts before the workload and half after it, so that
+    # a slow spell of the machine at one end does not set the median.
+    before = setup_samples(SETUP_STARTS // 2, compile_first=True)
     result = run_worker(args, "--seconds", str(args.seconds), "--min-ops", str(MIN_OPS))
-    ops = result["ops"]
+    setup = before + setup_samples(SETUP_STARTS - len(before))
+    ops = at_reference_speed(result)
     failed = sum(op["failure"] is not None for op in ops)
-    rate, p50, p90, pooled = best_rounds(ops, result["op_limit_s"])
+    rate, p50, p90 = run_stats(ops, result["op_limit_s"])
     metrics = {
-        "setup_s": (setup_s, "s"),
+        "setup_s": (statistics.median(ref for _, ref in setup), "s"),
         "ops_per_s": (rate, "1/s"),
         "op_p50_ms": (p50, "ms"),
         "op_p90_ms": (p90, "ms"),
         "ok_ratio": ((len(ops) - failed) / len(ops), "ratio"),
         "peak_rss_mb": (result["peak_rss_kb"] / 1024, "MB"),
     }
-    per_round = len(ops) // result["rounds"]
+    wall_rate, wall_p50, wall_p90 = run_stats(result["ops"], result["op_limit_s"])
+    factors = speed_factors(result)
     print(f"# {args.workload} seed={args.seed}: {len(ops)} ops in {result['rounds']} rounds of "
-          f"{per_round}, {result['op_time_s']:.2f} s of op time; ops_per_s and op_p50_ms from "
-          f"the best round ({per_round} ops), op_p90_ms from the best {pooled} ops "
-          f"({pooled - math.ceil(0.9 * pooled)} beyond it)")
+          f"{len(ops) // result['rounds']}, {sum(op['latency_s'] for op in result['ops']):.2f} s "
+          f"of op time; percentiles over all {len(ops)} ops "
+          f"({len(ops) - math.ceil(0.9 * len(ops))} beyond op_p90_ms); setup_s over "
+          f"{len(setup)} starts")
+    print(f"# wall time, unscaled: setup_s = {statistics.median(w for w, _ in setup):.6g} s, "
+          f"ops_per_s = {wall_rate:.6g} 1/s, op_p50_ms = {wall_p50:.6g} ms, "
+          f"op_p90_ms = {wall_p90:.6g} ms; speed factor per op "
+          f"{min(factors):.3f} to {max(factors):.3f}")
     print(f"# fail_ratio = {failed / len(ops):.4f} ({failed}/{len(ops)})")
     return result, metrics
 
 
 def traced(args) -> tuple[dict, dict]:
-    # Half the time untraced and the same rounds traced: about as long as an
-    # untraced run.
-    plain = run_worker(args, "--seconds", str(args.seconds / 2))
+    # A third of the time untraced and the same rounds traced: no longer than
+    # an untraced run.
+    plain = run_worker(args, "--seconds", str(args.seconds / 3))
     result = run_worker(args, "--rounds", str(plain["rounds"]), "--trace")
     metrics = {name: (value, _unit(name)) for name, value in result["layers"].items()}
-    metrics["trace_overhead"] = (result["op_time_s"] / plain["op_time_s"], "ratio")
+    op_time = [sum(op["latency_s"] for op in at_reference_speed(r)) for r in (result, plain)]
+    metrics["trace_overhead"] = (op_time[0] / op_time[1], "ratio")
     result["stdout_differs"] = result["stdout_sha256"] != plain["stdout_sha256"]
     print(f"# {args.workload} seed={args.seed}: traced {len(result['ops'])} ops in "
           f"{result['rounds']} rounds; stdout differs from the untraced run: "

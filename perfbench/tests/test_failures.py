@@ -28,17 +28,15 @@ def test_percentile_is_nearest_rank_over_100_samples():
     assert run.percentile_ms(ops, 0.5, limit_s=1) == 50.0
 
 
-def test_best_rounds_give_rate_median_and_p90(monkeypatch):
-    monkeypatch.setattr(run, "MIN_OPS", 8)
-    slow = [{"round": 0, "failure": None, "latency_s": 0.3 + i / 100} for i in range(4)]
-    fast = [{"round": 1, "failure": None, "latency_s": 0.2} for _ in range(3)]
-    fast.append({"round": 1, "failure": "exit 1", "latency_s": 0.1})
-    slowest = [{"round": 2, "failure": None, "latency_s": 0.5} for _ in range(4)]
-    rate, p50, p90, pooled = run.best_rounds(slow + slowest + fast, limit_s=10)
-    assert rate == 3 / 0.7  # a failed op counts in the time, not in the successes
-    assert p50 == 200.0
-    assert pooled == 8  # the two best rounds: the slowest round is left out
-    assert p90 == 10_000.0  # the failure ranks above the slow round's 330 ms
+def test_run_stats_cover_every_op():
+    ops = sample([100 + i for i in range(18)], [0.05])
+    ops.append({"failure": None, "latency_s": 5.0})
+    rate, p50, p90 = run.run_stats(ops, limit_s=10)
+    assert rate == 19 / (sum(op["latency_s"] for op in ops))  # a failure costs time, not a success
+    assert p50 == 109.0  # 10th of 20 ranks
+    assert p90 == 117.0  # 18th of 20
+    assert run.percentile_ms(ops, 0.95, limit_s=10) == 5000.0  # the slowest success
+    assert run.percentile_ms(ops, 1.0, limit_s=10) == 10_000.0  # the fast failure ranks last
 
 
 def test_limit_stops_a_pure_python_loop():

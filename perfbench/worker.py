@@ -7,7 +7,7 @@ Ops go through latfm.cli.run(argv, out, err), except fm_count_genus_sum,
 which has no CLI and is called through the library.  Each op is timed alone
 and stopped at the workload's per-op limit; outputs are checked after the
 op, outside its timing.  Whole rounds only, so the per-stratum counts are
-exact.
+exact.  The speed kernel (speed.py) runs between ops, outside their timing.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import checks  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 
 # Per-op limits in seconds, about ten times the slowest op a workload draws.
@@ -114,10 +115,12 @@ def main(argv=None) -> int:
         tracer = spans.Tracer().install()
 
     ops = []
+    kernel_s = []  # the speed kernel's times, taken between ops
     peak_rss_kb = None  # taken once the first --min-ops ops are done: fixed work
     digest = hashlib.sha256()
     stream = workloads.rounds(args.workload, args.seed, args.known_defects)
     begin = perf_counter()
+    last_kernel = float("-inf")
     rounds_done = 0
     while True:
         elapsed = perf_counter() - begin
@@ -128,11 +131,14 @@ def main(argv=None) -> int:
                               or (elapsed >= args.seconds and len(ops) >= args.min_ops)):
             break
         for op in next(stream):
+            if perf_counter() - last_kernel >= speed.EVERY_S:
+                kernel_s.append(speed.time_kernel())
+                last_kernel = perf_counter()
             if tracer:
                 tracer.op_id = len(ops)
             latency, out, reason, wrong = run_op(op, limit)
             digest.update(out.encode())
-            ops.append({"stratum": op.stratum, "round": rounds_done, "latency_s": latency,
+            ops.append({"stratum": op.stratum, "latency_s": latency, "kernel_at": len(kernel_s),
                         "failure": reason, "wrong": wrong})
         rounds_done += 1
         if peak_rss_kb is None and len(ops) >= args.min_ops:
@@ -143,7 +149,7 @@ def main(argv=None) -> int:
     result = {
         "rounds": rounds_done,
         "ops": ops,
-        "op_time_s": sum(op["latency_s"] for op in ops),
+        "kernel_s": kernel_s,
         "op_limit_s": limit,
         "stdout_sha256": digest.hexdigest(),
         "peak_rss_kb": peak_rss_kb,
