@@ -281,6 +281,8 @@ def _cmd_orbits(args, out) -> int:
 
 
 def _cmd_selftest(args, out) -> int:
+    if args.range_d < 1:
+        raise UsageError(f"--range-d must be a positive integer, got {args.range_d}")
     cfg = SelftestConfig(
         d_max=args.range_d,
         shadow_d_max=min(args.range_d, 30),

@@ -24,6 +24,7 @@ from .intmat import (
     Mat,
     Vec,
     freeze,
+    invariant_factors,
     mat_mul,
     mat_vec,
     rational_solve,
@@ -275,18 +276,13 @@ class ModuleIsometry:
 
 
 def _generates(module: FiniteQuadraticModule, elems) -> bool:
-    seen = {tuple([0] * module.ell)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in elems:
-                y = module.reduce(tuple(a + b for a, b in zip(x, g)))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen) == module.order
+    """True iff elems generate the module: their coordinate columns together
+    with the relations f_i e_i span Z^ell."""
+    rows = tuple(
+        tuple(g[i] for g in elems) + tuple(f if j == i else 0 for j in range(module.ell))
+        for i, f in enumerate(module.factors)
+    )
+    return all(x == 1 for x in invariant_factors(rows))
 
 
 def identity_isometry(module: FiniteQuadraticModule) -> ModuleIsometry:

@@ -52,29 +52,45 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _gauss_jordan(rows) -> tuple[list, list, int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan reduction of an integer matrix.
+
+    Returns (a, pivots, sign, last): the reduced rows, the pivot columns, the
+    sign of the row permutation and the last pivot (1 if there is none).  Row
+    t < len(pivots) of a holds last at column pivots[t] and 0 at every other
+    pivot column; the rows below are zero.  Every entry is a minor of the
+    input, so each division is exact.
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots = []
+    sign = prev = 1
+    for j in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][j]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        prow = a[r]
+        p = prow[j]
+        for i, row in enumerate(a):
+            c = row[j]
+            if i != r and (c or p != prev):
+                a[i] = [(p * x - c * y) // prev for x, y in zip(row, prow)]
+        prev = p
+        pivots.append(j)
+    return a, pivots, sign, prev
+
+
 def det(m: Mat) -> int:
-    """Exact determinant of an integer matrix (Bareiss fraction-free elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a square integer matrix."""
+    _, pivots, sign, last = _gauss_jordan(m)
+    return sign * last if len(pivots) == len(m) else 0
 
 
 def is_unimodular(m: Mat) -> bool:
@@ -228,109 +244,63 @@ def kernel_basis(m: Mat) -> tuple[Vec, ...]:
     return tuple(out)
 
 
+def integer_solver(m: Mat):
+    """Factor m once (Smith normal form) and return the function mapping rhs
+    to one integer solution of m.x = rhs, or None if none exists."""
+    ncols = len(m[0]) if m else 0
+    u, d, v = smith_normal_form(m)
+    diag = tuple(d[i][i] if i < ncols else 0 for i in range(len(m)))
+
+    def solve(rhs: Vec) -> Vec | None:
+        y = [0] * ncols
+        for i, (bi, di) in enumerate(zip(mat_vec(u, rhs), diag)):
+            if di == 0:
+                if bi:
+                    return None
+            elif bi % di:
+                return None
+            else:
+                y[i] = bi // di
+        return mat_vec(v, tuple(y))
+
+    return solve
+
+
 def solve_integer(m: Mat, rhs: Vec) -> Vec | None:
     """One integer solution of m.x = rhs, or None if none exists."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    u, d, v = smith_normal_form(m)
-    b = mat_vec(u, rhs)
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i][i] if i < ncols else 0
-        if di == 0:
-            if b[i]:
-                return None
-        else:
-            if b[i] % di:
-                return None
-            y[i] = b[i] // di
-    return mat_vec(v, tuple(y))
+    return integer_solver(m)(rhs)
 
 
 def rational_solve(m: Mat, rhs: Vec) -> tuple[Fraction, ...] | None:
-    """One rational solution of m.x = rhs, or None if inconsistent."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(m, rhs)]
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][j]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][j]:
-                c = a[i][j]
-                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-    for i in range(r, nrows):
-        if a[i][ncols]:
-            return None
+    """One rational solution of m.x = rhs (free coordinates 0), or None if
+    inconsistent."""
+    ncols = len(m[0]) if m else 0
+    a, pivots, _, last = _gauss_jordan(
+        [tuple(row) + (y,) for row, y in zip(m, rhs)]
+    )
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for i, j in enumerate(pivots):
-        x[j] = a[i][ncols]
+    for row, j in zip(a, pivots):
+        x[j] = Fraction(row[ncols], last)
     return tuple(x)
 
 
 def rank(m: Mat) -> int:
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][j]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(r + 1, nrows):
-            if a[i][j]:
-                c = a[i][j]
-                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
+    return len(_gauss_jordan(m)[1])
 
 
 def unimodular_inverse(m: Mat) -> Mat:
     """Integer inverse of a unimodular matrix."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
-         for i, row in enumerate(m)]
-    for j in range(n):
-        piv = None
-        for i in range(j, n):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[j], a[piv] = a[piv], a[j]
-        inv = a[j][j]
-        a[j] = [x / inv for x in a[j]]
-        for i in range(n):
-            if i != j and a[i][j]:
-                c = a[i][j]
-                a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    a, pivots, _, last = _gauss_jordan(
+        [tuple(row) + unit for row, unit in zip(m, identity(n))]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    if abs(last) != 1:
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(last * x for x in row[n:]) for row in a)
 
 
 def complete_primitive_vector(c: Vec) -> Mat:

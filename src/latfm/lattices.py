@@ -8,11 +8,11 @@ matrix as B^t G B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     DegenerateError,
@@ -29,12 +29,13 @@ from .intmat import (
     det,
     freeze,
     hermite_normal_form,
+    integer_solver,
     invariant_factors,
     kernel_basis,
     mat_mul,
     mat_vec,
     rank as matrix_rank,
-    solve_integer,
+    solve_integer,  # noqa: F401  (re-exported; perfbench traces this binding)
     transpose,
     unimodular_inverse,
 )
@@ -103,7 +104,12 @@ class Lattice:
     gram: Mat
 
     def __post_init__(self):
-        g = freeze(self.gram)
+        try:
+            g = freeze(self.gram)
+        except TypeError:
+            raise LatfmError("Gram matrix must be a list of rows") from None
+        if any(type(x) is not int for row in g for x in row):
+            raise LatfmError("Gram matrix entries must be integers")
         object.__setattr__(self, "gram", g)
         n = len(g)
         if n == 0 or any(len(row) != n for row in g):
@@ -144,7 +150,7 @@ class Lattice:
 
 
 def make_lattice(gram) -> Lattice:
-    return Lattice(freeze(gram))
+    return Lattice(gram)
 
 
 def determinant(lattice: Lattice) -> int:
@@ -247,10 +253,11 @@ class IsotropicQuotient:
     source: SublatticeEmbedding
     quotient_basis: tuple[Vec, ...]  # ambient-coordinate lifts of the quotient basis
     _projection: Mat  # (rank-1) x rank, applied to source coordinates
+    _solve: Callable = field(repr=False, compare=False)  # integer_solver(source.matrix)
 
     def project(self, x: Vec) -> Vec:
         """Coordinates in the quotient of an ambient vector lying in V."""
-        coords = solve_integer(self.source.matrix, x)
+        coords = self._solve(x)
         if coords is None:
             raise LatfmError("vector does not lie in the sublattice")
         return mat_vec(self._projection, coords)
@@ -269,26 +276,21 @@ def isotropic_quotient(
         raise LatfmError("sublattice is not contained in the orthogonal of v")
     if v_perp.rank != ambient.rank - 1:
         raise LatfmError("sublattice does not span the full orthogonal of v")
-    coords = solve_integer(v_perp.matrix, v)
+    solve = integer_solver(v_perp.matrix)
+    coords = solve(v)
     if coords is None:
         raise LatfmError("v does not lie in the sublattice")
     if not is_primitive_vector(coords):
         raise NotPrimitiveError("v is not primitive inside the sublattice")
     w = completion(coords)
-    k = len(coords)
-    lifted = []
-    for j in range(1, k):
-        col = tuple(w[i][j] for i in range(k))
-        lifted.append(mat_vec(v_perp.matrix, col))
-    gram = tuple(
-        tuple(ambient.dot(x, y) for y in lifted) for x in lifted
-    )
-    projection = unimodular_inverse(w)[1:]
+    lifted = transpose(mat_mul(v_perp.matrix, w))[1:]
+    gram = mat_mul(lifted, mat_mul(ambient.gram, transpose(lifted)))
     return IsotropicQuotient(
         lattice=Lattice(gram),
         source=v_perp,
-        quotient_basis=tuple(lifted),
-        _projection=freeze(projection),
+        quotient_basis=lifted,
+        _projection=unimodular_inverse(w)[1:],
+        _solve=solve,
     )
 
 

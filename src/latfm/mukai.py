@@ -167,7 +167,7 @@ class ModuliShadow:
     transcendental: SublatticeEmbedding
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _mukai_complement(v24: Vec) -> tuple[SublatticeEmbedding, IsotropicQuotient]:
     vperp = orthogonal_complement(SublatticeEmbedding(MUKAI, (v24,)))
     return vperp, isotropic_quotient(vperp, v24)

@@ -77,6 +77,17 @@ class TestDisc:
         assert code == 0
         assert json.loads(out)["factors"] == [4]
 
+    @pytest.mark.parametrize(
+        "gram",
+        ["[[2.5]]", '[["a"]]', "[[null]]", "[[[1]]]", "[[1e400]]", "[[true]]",
+         "[[NaN]]", "[2]"],
+    )
+    def test_non_integer_gram_is_domain_error(self, gram):
+        code, out, err = invoke(["disc", "--gram", gram])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_degenerate_is_domain_error(self):
         code, _, err = invoke(["disc", "--gram", "[[1,1],[1,1]]"])
         assert code == 1
@@ -216,6 +227,13 @@ class TestSelftest:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
         assert len(lines) - 1 == len(CHECKS)
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_range_is_usage_error(self, value):
+        code, out, err = invoke(["selftest", "--range-d", value])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
 
     def test_corrupted_builtin_is_reported(self):
         # replace U by an odd unimodular lattice: the builtin invariants fail

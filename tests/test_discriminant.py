@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,6 +7,7 @@ import pytest
 
 from latfm.discriminant import (
     TRIVIAL_MODULE,
+    _generates,
     FiniteQuadraticModule,
     LatticeDiscriminant,
     cyclic_module,
@@ -279,3 +281,34 @@ class TestIsometryActionCoords:
         assert mat_mul(transpose(b), mat_mul(lat.gram, b)) == lat.gram
         action = disc.isometry_action(b)
         assert action.matrix == negation_isometry(disc.module).matrix
+
+
+def bfs_generates(module, elems):
+    """Reference: grow the subgroup spanned by elems over the whole group."""
+    seen = {(0,) * module.ell}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in elems:
+                y = module.reduce(tuple(a + b for a, b in zip(x, g)))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == module.order
+
+
+@pytest.mark.parametrize("factors", [(2, 2), (2, 4), (3, 3), (2, 2, 2)])
+def test_generates_matches_subgroup_search(factors):
+    k = len(factors)
+    module = FiniteQuadraticModule(
+        factors=factors, generators=(), q=None, b=((0,) * k,) * k
+    )
+    elements = list(module.elements())
+    outcomes = set()
+    for images in itertools.product(elements, repeat=k):
+        expected = bfs_generates(module, images)
+        assert _generates(module, images) == expected, images
+        outcomes.add(expected)
+    assert outcomes == {True, False}

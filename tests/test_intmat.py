@@ -7,6 +7,7 @@ from latfm.intmat import (
     complete_primitive_vector,
     complete_primitive_vector_gcd,
     det,
+    freeze,
     hermite_normal_form,
     identity,
     invariant_factors,
@@ -204,3 +205,80 @@ def test_primitive_completion(completion):
         assert tuple(row[0] for row in w) == vec
     with pytest.raises(ValueError):
         completion((2, 4))
+
+
+def unimodular_matrix(rng, n, steps=12):
+    m = [list(row) for row in identity(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-3, 3)
+        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    if rng.random() < 0.5:
+        m[0] = [-x for x in m[0]]
+    return freeze(m)
+
+
+def hnf_rank(m):
+    return len(hermite_normal_form(m))
+
+
+def check_elimination_kernel(m, rhs):
+    """det, rank, rational_solve and unimodular_inverse against the SNF and
+    the HNF, which share no code with the elimination kernel."""
+    nrows, ncols = len(m), len(m[0])
+    r = rank(m)
+    assert r == hnf_rank(m)
+    if nrows == ncols:
+        _, d, _ = smith_normal_form(m)
+        product = 1
+        for i in range(nrows):
+            product *= d[i][i]
+        assert det(m) in (product, -product)
+        if product == 1:
+            assert mat_mul(m, unimodular_inverse(m)) == identity(nrows)
+        else:
+            with pytest.raises(ValueError):
+                unimodular_inverse(m)
+    x = rational_solve(m, rhs)
+    consistent = hnf_rank(tuple(row + (y,) for row, y in zip(m, rhs))) == r
+    assert (x is not None) == consistent
+    if x is not None:
+        assert mat_vec(m, x) == rhs
+        prefix_ranks = [hnf_rank(tuple(row[:j] for row in m)) for j in range(ncols + 1)]
+        for j in range(ncols):
+            if prefix_ranks[j + 1] == prefix_ranks[j]:  # free column
+                assert x[j] == 0
+
+
+def test_elimination_kernel_random_grid():
+    rng = random.Random(60221)
+    for nrows in range(1, 7):
+        for ncols in range(1, 7):
+            for _ in range(6):
+                m = random_matrix(rng, nrows, ncols, bound=rng.choice((1, 3, 9)))
+                if nrows > 1 and rng.random() < 0.4:  # force a dependent row
+                    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                    m = m[:-1] + (tuple(a * x + b * y for x, y in zip(m[0], m[1])),)
+                solution = tuple(rng.randint(-4, 4) for _ in range(ncols))
+                check_elimination_kernel(m, mat_vec(m, solution))
+                check_elimination_kernel(m, tuple(rng.randint(-4, 4) for _ in range(nrows)))
+        check_elimination_kernel(unimodular_matrix(rng, nrows), (1,) * nrows)
+
+
+def test_elimination_kernel_on_shadow_bases():
+    from latfm.lattices import SublatticeEmbedding, isotropic_quotient, orthogonal_complement
+    from latfm.mukai import MUKAI, MukaiVector, embed_polarized
+
+    rng = random.Random(1729)
+    for r, s, d in ((2, 3, 6), (30, 1001, 30030)):
+        v24 = embed_polarized(d).embed(MukaiVector(r, 1, s, d))
+        vperp = orthogonal_complement(SublatticeEmbedding(MUKAI, (v24,)))
+        quot = isotropic_quotient(vperp, v24)
+        unit = (1,) + (0,) * 23  # pairs to -s with v: outside v-perp
+        check_elimination_kernel(vperp.basis, tuple(rng.randint(-5, 5) for _ in range(23)))
+        check_elimination_kernel(vperp.matrix, v24)
+        check_elimination_kernel(vperp.matrix, unit)
+        check_elimination_kernel(vperp.induced_gram, (0,) * 23)
+        check_elimination_kernel(quot.lattice.gram, (1,) * 22)
+        coords = solve_integer(vperp.matrix, v24)
+        check_elimination_kernel(complete_primitive_vector(coords), coords)

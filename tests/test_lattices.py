@@ -251,6 +251,24 @@ class TestIsotropicQuotient:
         ).lattice
         assert (q1.det, q1.is_even, q1.signature) == (q2.det, q2.is_even, q2.signature)
 
+    def test_project_rejects_vector_outside_sublattice(self):
+        v = (1, 0, 0, 0)
+        vperp = orthogonal_complement(SublatticeEmbedding(UU, (v,)))
+        quot = isotropic_quotient(vperp, v)
+        with pytest.raises(LatfmError):
+            quot.project((0, 1, 0, 0))  # pairs to 1 with v
+
+    def test_project_on_unsaturated_sublattice(self):
+        # V = <v, 2 e_3, e_4> has index 2 in v-perp: e_3 lies in V (x) Q only
+        v = (1, 0, 0, 0)
+        vsub = SublatticeEmbedding(UU, (v, (0, 0, 2, 0), (0, 0, 0, 1)))
+        quot = isotropic_quotient(vsub, v)
+        assert quot.lattice.gram == ((0, 2), (2, 0))
+        assert quot.project(v) == (0, 0)
+        assert quot.lattice.square(quot.project((0, 0, 2, 1))) == UU.square((0, 0, 2, 1))
+        with pytest.raises(LatfmError):
+            quot.project((0, 0, 1, 0))
+
     def test_projection_roundtrip(self):
         v = (1, 0, 0, 0)
         vperp = orthogonal_complement(SublatticeEmbedding(UU, (v,)))

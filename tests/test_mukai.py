@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import gcd
 
 import pytest
@@ -158,6 +160,23 @@ class TestModuliShadow:
             SublatticeEmbedding(shadow.quotient, (shadow.ns_generator,))
         )
         assert hermite_normal_form(shadow.transcendental.basis) == perp.basis
+
+    @pytest.mark.parametrize(
+        "r,s,d,digest",
+        [
+            (2, 3, 6, "5298fcbcef3fabc1cad1d6194644eed875ad379ab7096cab80d28f13f5e5c1e4"),
+            (30, 1001, 30030,
+             "71bb351aa5bfe72369eebedcfcebd359064f2c2c044194d58746b024e5632c94"),
+        ],
+    )
+    def test_bases_are_pinned(self, r, s, d, digest):
+        # the invariants above would also hold for a different basis; the
+        # printed shadows must not change
+        shadow = moduli_lattice_shadow(MukaiVector(r, 1, s, d))
+        payload = json.dumps(
+            [shadow.quotient.gram, shadow.ns_generator, shadow.transcendental.basis]
+        )
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_not_isotropic(self):
         with pytest.raises(NotIsotropicError):
