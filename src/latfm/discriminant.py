@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+from .arith import unit_square_roots
 from .errors import (
     LatfmError,
     NotPrimitiveError,
@@ -348,7 +349,8 @@ def _isometry_search(
     order_bound: int,
     find_all: bool,
 ):
-    """Backtracking over generator images; candidates are enumerated in
+    """Cyclic modules: the unit square roots in ascending order.  Otherwise
+    backtracking over generator images; candidates are enumerated in
     lexicographic element order, so the first witness found is canonical."""
     a1.require_q()
     a2.require_q()
@@ -363,14 +365,19 @@ def _isometry_search(
     if k == 0:
         return [ModuleIsometry(a1, a2, ())]
     if k == 1:
-        m = a1.factors[0]
+        # q_i = N_i / D: alpha^2 q2 = q1 mod 2Z iff alpha^2 N2 = N1 mod 2D,
+        # which is well defined mod m because D divides m
         q1, q2 = a1.q[0], a2.q[0]
-        for alpha in range(1, m):
-            if gcd(alpha, m) == 1 and _mod2(alpha * alpha * q2) == q1:
-                results.append(ModuleIsometry(a1, a2, ((alpha,),)))
-                if not find_all:
-                    return results
-        return results
+        den = lcm(q1.denominator, q2.denominator)
+        roots = unit_square_roots(
+            q2.numerator * (den // q2.denominator),
+            q1.numerator * (den // q1.denominator),
+            a1.factors[0],
+            2 * den,
+        )
+        if not find_all:
+            roots = roots[:1]
+        return [ModuleIsometry(a1, a2, ((alpha,),)) for alpha in roots]
     buckets = _element_buckets(a2)
     chosen: list = []
 
@@ -404,8 +411,9 @@ def is_isometric_modules(
 ) -> ModuleIsometry | None:
     """Explicit isometry between finite quadratic modules, or None.
 
-    Cyclic modules go through unit arithmetic; the generic case is an
-    exhaustive search over generator images with pruning on (order, q) and b.
+    Cyclic modules go through modular square roots (the least root is the
+    witness); the generic case is an exhaustive search over generator images
+    with pruning on (order, q) and b.
     """
     found = _isometry_search(a1, a2, order_bound, find_all=False)
     return found[0] if found else None

@@ -43,7 +43,22 @@ class BudgetExhaustedError(LatfmError):
 
     Distinct from a definitive negative: the search space within the budget
     contained no witness, which is evidence but not proof of non-isometry.
+    The search state rides along: nodes visited, and the entry bound and
+    node limit of the budget.
     """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        nodes: int | None = None,
+        entry_bound: int | None = None,
+        node_limit: int | None = None,
+    ):
+        super().__init__(message)
+        self.nodes = nodes
+        self.entry_bound = entry_bound
+        self.node_limit = node_limit
 
 
 class NotSubgroupError(LatfmError):

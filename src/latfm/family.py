@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .arith import least_prime_above, unit_square_roots
 from .discriminant import (
     FiniteQuadraticModule,
     LatticeDiscriminant,
@@ -21,7 +22,7 @@ from .discriminant import (
     is_isometric_modules,
 )
 from .errors import HypothesisFailedError, LatfmError, NotCoprimeError
-from .fmcount import least_prime_above, prime_power_blocks
+from .fmcount import prime_power_blocks
 from .intmat import Vec
 from .lattices import (
     K3,
@@ -135,18 +136,18 @@ def disc_groups_isomorphic(
     d1: int, n1: int, d2: int, n2: int
 ) -> DiscIsoWitness | None:
     """Least alpha in [1, n^2) with gcd(alpha, n) = 1 and d1 alpha^2 = d2 mod
-    n^2, or None (in particular whenever n1 != n2)."""
+    n^2, or None (in particular whenever n1 != n2).  For n = 1 both modules
+    are trivial and the witness is alpha = 1."""
     for d, n in ((d1, n1), (d2, n2)):
         if gcd(2 * d, n) != 1:
             raise NotCoprimeError(f"gcd(2*{d}, {n}) != 1")
     if n1 != n2:
         return None
     n = n1
-    mod = n * n
-    for alpha in range(1, mod):
-        if gcd(alpha, n) == 1 and (d1 * alpha * alpha - d2) % mod == 0:
-            return DiscIsoWitness(d1=d1, d2=d2, n=n, alpha=alpha)
-    return None
+    if n == 1:
+        return DiscIsoWitness(d1=d1, d2=d2, n=1, alpha=1)
+    roots = unit_square_roots(d1, d2, n * n, n * n)
+    return DiscIsoWitness(d1=d1, d2=d2, n=n, alpha=roots[0]) if roots else None
 
 
 def isometry_necessary_conditions(d1: int, d2: int, n: int) -> NecessaryConditions:

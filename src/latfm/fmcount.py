@@ -2,12 +2,20 @@
 
 Two independent routes are provided: the closed form 2^(p(d)-1) and the
 double-coset sum over the genus, evaluated here for the rank-one class with
-the orthogonal group of the discriminant built from brute-force units.  The
-two must agree; tests and the selftest enforce it.
+the orthogonal group of the discriminant built from the units of square one.
+The two must agree; tests and the selftest enforce it.
 """
 
 from __future__ import annotations
 
+# is_prime and least_prime_above stay importable from here: callers and the
+# benchmark's tracer (perfbench/spans.py) name them as latfm.fmcount members
+from .arith import (  # noqa: F401
+    is_prime,
+    least_prime_above,
+    prime_factorization,
+    unit_square_roots,
+)
 from .discriminant import (
     FiniteQuadraticModule,
     LatticeDiscriminant,
@@ -23,41 +31,7 @@ from .oracle import (
     SearchBudget,
     double_coset_count,
     enumerate_self_isometries,
-    units_with_square_one,
 )
-
-
-def prime_factorization(n: int) -> dict[int, int]:
-    if n < 1:
-        raise LatfmError("expected a positive integer")
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
-def least_prime_above(x: int) -> int:
-    candidate = x + 1
-    while not is_prime(candidate):
-        candidate += 1
-    return candidate
 
 
 def distinct_prime_count(d: int) -> int:
@@ -96,11 +70,12 @@ def pm_id_subgroup(module: FiniteQuadraticModule) -> tuple[ModuleIsometry, ...]:
 
 def _rank1_orthogonal_group(d: int) -> tuple[FiniteQuadraticModule, tuple[ModuleIsometry, ...]]:
     """O(A) for the discriminant of the rank-one lattice of determinant 2d,
-    realized from the unit enumeration rather than the generic module search."""
+    realized from the units a mod 2d with a^2 = 1 mod 4d rather than the
+    generic module search."""
     module = LatticeDiscriminant(Lattice(((2 * d,),))).module
     if module.is_trivial:
         return module, (identity_isometry(module),)
-    units = units_with_square_one(2 * d)
+    units = unit_square_roots(1, 1, 2 * d, 4 * d)
     group = tuple(ModuleIsometry(module, module, ((a,),)) for a in units)
     return module, group
 

@@ -173,6 +173,13 @@ def _mukai_complement(v24: Vec) -> tuple[SublatticeEmbedding, IsotropicQuotient]
     return vperp, isotropic_quotient(vperp, v24)
 
 
+@lru_cache(maxsize=1)
+def _h_complement(d: int) -> SublatticeEmbedding:
+    """The transcendental shadow of degree 2d; its cached induced_gram is
+    kept with it."""
+    return embed_polarized(d).transcendental_shadow()
+
+
 def moduli_lattice_shadow(v: MukaiVector) -> ModuliShadow:
     if not v.is_isotropic:
         raise NotIsotropicError(f"vector has square {v.square}")
@@ -185,7 +192,7 @@ def moduli_lattice_shadow(v: MukaiVector) -> ModuliShadow:
     ns = quot.project(ns_vector)
     if quot.lattice.square(ns) != 2 * v.d:
         raise LatfmError("Neron-Severi generator has the wrong square")
-    t_shadow = emb.transcendental_shadow()
+    t_shadow = _h_complement(v.d)
     projected = tuple(quot.project((0,) + n + (0,)) for n in t_shadow.basis)
     transcendental = SublatticeEmbedding(quot.lattice, projected)
     ns_perp = orthogonal_complement(

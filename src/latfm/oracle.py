@@ -48,17 +48,25 @@ class IsometryWitness:
 
 
 class _NodeCounter:
-    __slots__ = ("count", "limit")
+    __slots__ = ("count", "budget")
 
-    def __init__(self, limit: int):
+    def __init__(self, budget: SearchBudget):
         self.count = 0
-        self.limit = limit
+        self.budget = budget
+
+    def exhausted(self, message: str) -> BudgetExhaustedError:
+        return BudgetExhaustedError(
+            message,
+            nodes=self.count,
+            entry_bound=self.budget.entry_bound,
+            node_limit=self.budget.node_limit,
+        )
 
     def tick(self):
         self.count += 1
-        if self.count > self.limit:
-            raise BudgetExhaustedError(
-                f"node limit {self.limit} reached without a decision"
+        if self.count > self.budget.node_limit:
+            raise self.exhausted(
+                f"node limit {self.budget.node_limit} reached without a decision"
             )
 
 
@@ -79,16 +87,15 @@ def _norm_buckets(lattice: Lattice, bound: int, needed, nodes: _NodeCounter):
     return buckets
 
 
-def _column_search(l1: Lattice, target_gram: Mat, budget: SearchBudget, find_all: bool):
+def _column_search(l1: Lattice, target_gram: Mat, nodes: _NodeCounter, find_all: bool):
     """Backtracking over candidate images of the target basis vectors inside l1.
 
     Leaves already satisfy B^t G1 B = target_gram entrywise, which forces
     |det B| = 1 when the determinants agree, so every leaf is a witness.
     """
     n = l1.rank
-    nodes = _NodeCounter(budget.node_limit)
     needed = {target_gram[j][j] for j in range(n)}
-    buckets = _norm_buckets(l1, budget.entry_bound, needed, nodes)
+    buckets = _norm_buckets(l1, nodes.budget.entry_bound, needed, nodes)
     found: list[Mat] = []
     chosen: list[Vec] = []
 
@@ -132,13 +139,14 @@ def find_isometry_bounded(
         return IsometryWitness(l1, l2, identity(l1.rank))
     if l1.det != l2.det or l1.is_even != l2.is_even or l1.signature != l2.signature:
         return None
-    found = _column_search(l1, l2.gram, budget, find_all=False)
+    nodes = _NodeCounter(budget)
+    found = _column_search(l1, l2.gram, nodes, find_all=False)
     if found:
         witness = IsometryWitness(l1, l2, found[0])
         if not witness.holds():
             raise LatfmError("search produced an invalid witness")
         return witness
-    raise BudgetExhaustedError(
+    raise nodes.exhausted(
         f"no isometry with entries bounded by {budget.entry_bound}; "
         "absence within the budget does not prove non-isometry"
     )
@@ -148,7 +156,7 @@ def enumerate_self_isometries(
     lattice: Lattice, budget: SearchBudget = DEFAULT_BUDGET
 ) -> tuple[IsometryWitness, ...]:
     """All self-isometries with entries within the budget, in search order."""
-    found = _column_search(lattice, lattice.gram, budget, find_all=True)
+    found = _column_search(lattice, lattice.gram, _NodeCounter(budget), find_all=True)
     out = []
     for mat in found:
         witness = IsometryWitness(lattice, lattice, mat)

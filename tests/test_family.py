@@ -11,6 +11,7 @@ from latfm.discriminant import (
 )
 from latfm.errors import HypothesisFailedError, LatfmError, NotCoprimeError
 from latfm.family import (
+    DiscIsoWitness,
     GenusData,
     NonIsometryCertificate,
     build_family,
@@ -71,6 +72,20 @@ class TestDiscWitness:
     def test_self_witness(self):
         witness = disc_groups_isomorphic(5, 7, 5, 7)
         assert witness is not None and witness.alpha == 1
+
+    def test_trivial_modules_are_isomorphic(self):
+        # n = 1: both discriminant groups are trivial
+        for d1, d2 in ((1, 1), (2, 7)):
+            witness = disc_groups_isomorphic(d1, 1, d2, 1)
+            assert witness == DiscIsoWitness(d1=d1, d2=d2, n=1, alpha=1)
+
+    def test_witness_beyond_the_order_bound(self):
+        # n = 4099 (family count 8): order 16801801; the witness is still
+        # the least of the two roots
+        witness = disc_groups_isomorphic(2, 4099, 128, 4099)
+        alpha = witness.alpha
+        assert (2 * alpha * alpha - 128) % 4099**2 == 0
+        assert alpha < 4099**2 - alpha
 
     def test_against_module_search(self):
         for n in (3, 5, 7):

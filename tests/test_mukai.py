@@ -150,6 +150,16 @@ class TestModuliShadow:
                 assert shadow.transcendental.rank == 21
                 assert shadow.transcendental.induced_gram == h_shadow.induced_gram
 
+    def test_h_complement_is_computed_once_per_degree(self):
+        from latfm.mukai import _h_complement
+
+        _h_complement.cache_clear()
+        vectors = enumerate_mukai_vectors(30)
+        for v in vectors:
+            moduli_lattice_shadow(v)
+        info = _h_complement.cache_info()
+        assert (info.misses, info.hits) == (1, len(vectors) - 1)
+
     def test_transcendental_equals_ns_perp(self):
         # verified inside the operation; re-derive here for one case
         from latfm.intmat import hermite_normal_form

@@ -77,6 +77,25 @@ class TestFindIsometry:
         with pytest.raises(BudgetExhaustedError):
             find_isometry_bounded(family_lattice(1, 5), family_lattice(6, 5), tiny)
 
+    def test_exhaustion_carries_the_search_state(self):
+        tiny = SearchBudget(entry_bound=50, node_limit=10)
+        with pytest.raises(BudgetExhaustedError) as info:
+            find_isometry_bounded(family_lattice(1, 5), family_lattice(6, 5), tiny)
+        exc = info.value
+        assert str(exc) == "node limit 10 reached without a decision"
+        assert (exc.nodes, exc.entry_bound, exc.node_limit) == (11, 50, 10)
+
+        small = SearchBudget(entry_bound=2, node_limit=1000)
+        with pytest.raises(BudgetExhaustedError) as info:
+            find_isometry_bounded(family_lattice(1, 17), family_lattice(4, 17), small)
+        exc = info.value
+        assert str(exc) == (
+            "no isometry with entries bounded by 2; "
+            "absence within the budget does not prove non-isometry"
+        )
+        # the 5^2 vectors of the box, then 10 candidate images
+        assert (exc.nodes, exc.entry_bound, exc.node_limit) == (35, 2, 1000)
+
     def test_determinism(self):
         w1 = find_isometry_bounded(family_lattice(1, 5), family_lattice(6, 5))
         w2 = find_isometry_bounded(family_lattice(1, 5), family_lattice(6, 5))

@@ -4,6 +4,7 @@ a traced benchmark run."""
 
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import latfm.cli  # noqa: F401  (loads every latfm module)
@@ -36,3 +37,16 @@ def test_bindings_read_by_the_benchmark_tests_exist():
     assert latfm.lattices.solve_integer is intmat.solve_integer
     assert latfm.discriminant.smith_normal_form is intmat.smith_normal_form
     assert callable(latfm.mukai._mukai_complement.cache_clear)
+
+
+def test_cyclic_module_search_stays_under_its_traced_span():
+    tracer = load_spans().Tracer().install()
+    try:
+        argv = ["family", "--count", "2", "--degree", "4", "--json"]
+        code = latfm.cli.run(argv, io.StringIO(), io.StringIO())
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["discriminant.module_search.cyclic.calls"] > 0
+    assert metrics["discriminant.module_search.found_ratio"] == 1
