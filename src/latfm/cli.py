@@ -9,6 +9,7 @@ and its value never changes any output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -367,6 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parse_args keeps no state between calls,
+    so one build serves every run."""
+    return build_parser()
+
+
 def _check_thread_env() -> None:
     value = os.environ.get("LATFM_THREADS")
     if value is None:
@@ -382,7 +390,7 @@ def _check_thread_env() -> None:
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
+    parser = _parser()
     try:
         _check_thread_env()
         try:

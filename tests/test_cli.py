@@ -1,8 +1,16 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from latfm import cli
+from latfm.arith import MR_LIMIT
 from latfm.cli import run
 from latfm.lattices import Lattice
 from latfm.selfcheck import CHECKS, SelftestConfig, run_selftest
@@ -178,6 +186,106 @@ class TestOrbits:
         payload = json.loads(out)
         assert payload["count"] == 2
         assert payload["representatives"] == [[1, 15], [3, 5]]
+
+
+class TestFactorizationLimits:
+    def test_nineteen_digit_prime_degree_is_fast_and_exact(self):
+        start = time.perf_counter()
+        code, out, err = invoke(["fm-count", "--degree", "2000000000000000006", "--json"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        # recorded from the former trial division, which took 109 s
+        assert json.loads(out)["results"] == [
+            {"degree": 2000000000000000006, "d": 1000000000000000003,
+             "p": 1, "fm_partners": 1}
+        ]
+
+    def test_nineteen_digit_two_three_p(self):
+        degree = 2 * 3 * 300000000000000011  # a prime near 3e17
+        code, out, _ = invoke(["fm-count", "--degree", str(degree)])
+        assert code == 0 and len(str(degree)) == 19
+        assert out == f"degree={degree} d={degree // 2} p=2 fm_partners=2\n"
+
+    def test_power_of_two_times_three(self):
+        code, out, _ = invoke(["fm-count", "--degree", str(2**90 * 3), "--json"])
+        assert code == 0
+        assert json.loads(out)["results"][0]["p"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fm-count", "--degree", str(2 * (2**89 - 1))],  # a Mersenne prime
+            ["fm-count", "--degree", str(2 * MR_LIMIT)],  # a strong pseudoprime
+            # least_prime_above(4e24) crosses MR_LIMIT
+            ["family", "--count", "1", "--degree", "4000000000000"],
+        ],
+    )
+    def test_probable_prime_past_the_limit_is_a_domain_error(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"MR_LIMIT = {MR_LIMIT}" in err
+
+    def test_the_limit_error_reaches_the_shell_without_a_traceback(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from latfm.cli import main; main()",
+             "fm-count", "--degree", str(2 * (2**89 - 1))],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot prove ")
+        assert "Traceback" not in proc.stderr
+
+
+# sha256 of stdout, recorded with the trial-division factorization
+PINNED_STDOUT = {
+    ("fm-count", "--range", "2..2000", "--verify", "--json"):
+        "b199a25da4745f5004d60525542508360049c0c4bf9352b5053ad42b2371955b",
+    ("family", "--count", "5", "--degree", "2", "--json"):
+        "1fdee411e97631f157c0e2e6ee7973f02f74e13584d2958a48f287fa02127603",
+    # d = 999999937 is prime
+    ("mukai", "--degree", "1999999874", "--shadow", "--json"):
+        "c54554339a52b2b2336638b4960878480578abd95b6f9b98d20e4c439a4593e3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_pinned_stdout(argv):
+    code, out, err = invoke(list(argv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["fm-count", "--degree", "420"],
+        ["fm-count", "--degre", "4"],  # argparse usage error
+        ["--help"],
+        ["family", "--help"],
+        ["disc", "--gram", "[[2,3],[3,0]]", "--json"],
+        ["family", "--count", "0", "--degree", "2"],  # usage error of a handler
+        ["fm-count", "--degree", "60", "--verify", "--json"],
+        [],
+    ]
+
+    @staticmethod
+    def run_captured(argv, capsys):
+        # argparse writes help and usage errors to sys.stdout and sys.stderr
+        code, out, err = invoke(argv)
+        captured = capsys.readouterr()
+        return code, out + captured.out, err + captured.err
+
+    def test_one_parser_answers_like_fresh_ones(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(self.run_captured(argv, capsys))
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0, 2, 0, 2]
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert [self.run_captured(argv, capsys) for argv in self.ARGVS] == fresh
+        assert cli._parser.cache_info().misses == 1
 
 
 class TestDeterminism:

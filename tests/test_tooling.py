@@ -7,7 +7,9 @@ import importlib.util
 import io
 from pathlib import Path
 
+import latfm.arith
 import latfm.cli  # noqa: F401  (loads every latfm module)
+import latfm.fmcount
 import latfm.mukai
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -37,6 +39,9 @@ def test_bindings_read_by_the_benchmark_tests_exist():
     assert latfm.lattices.solve_integer is intmat.solve_integer
     assert latfm.discriminant.smith_normal_form is intmat.smith_normal_form
     assert callable(latfm.mukai._mukai_complement.cache_clear)
+    # the factorization spans wrap these fmcount names
+    assert latfm.fmcount.prime_factorization is latfm.arith.prime_factorization
+    assert latfm.fmcount.is_prime is latfm.arith.is_prime
 
 
 def test_cyclic_module_search_stays_under_its_traced_span():
@@ -50,3 +55,19 @@ def test_cyclic_module_search_stays_under_its_traced_span():
     metrics = tracer.metrics()
     assert metrics["discriminant.module_search.cyclic.calls"] > 0
     assert metrics["discriminant.module_search.found_ratio"] == 1
+
+
+def test_factorization_and_primality_stay_under_their_traced_spans():
+    argv = ["fm-count", "--degree", str(2 * 10000000000037), "--json"]  # a prime d
+    plain = io.StringIO()
+    assert latfm.cli.run(argv, plain, io.StringIO()) == 0
+    tracer = load_spans().Tracer().install()
+    try:
+        traced = io.StringIO()
+        code = latfm.cli.run(argv, traced, io.StringIO())
+    finally:
+        tracer.uninstall()
+    assert code == 0 and traced.getvalue() == plain.getvalue()
+    metrics = tracer.metrics()
+    assert metrics["fmcount.factorization.calls"] >= 1
+    assert metrics["fmcount.primality.calls"] >= 1
