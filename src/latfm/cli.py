@@ -9,6 +9,7 @@ and its value never changes any output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -246,6 +247,10 @@ def _cmd_family(args, out) -> int:
 def _cmd_isometry(args, out) -> int:
     l1 = _parse_gram(args.gram1)
     l2 = _parse_gram(args.gram2)
+    for flag, value in (("--budget-entries", args.budget_entries),
+                        ("--budget-nodes", args.budget_nodes)):
+        if value < 1:
+            raise UsageError(f"{flag} must be a positive integer, got {value}")
     budget = SearchBudget(entry_bound=args.budget_entries, node_limit=args.budget_nodes)
     witness = find_isometry_bounded(l1, l2, budget)
     if witness is None:
@@ -394,7 +399,9 @@ def run(argv, out=None, err=None) -> int:
     try:
         _check_thread_env()
         try:
-            args = parser.parse_args(argv)
+            # argparse prints help and usage errors to sys.stdout/sys.stderr
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = parser.parse_args(argv)
         except SystemExit as exc:
             return USAGE_ERROR if exc.code else 0
         return args.handler(args, out)

@@ -219,6 +219,16 @@ def discriminant_module(lattice: Lattice) -> FiniteQuadraticModule:
     return LatticeDiscriminant(lattice).module
 
 
+def compose_matrices(outer: Mat, inner: Mat, factors) -> Mat:
+    """outer . inner with row i reduced mod factors[i]: the generator matrix
+    of outer o inner when factors are those of the target of outer."""
+    cols = tuple(zip(*inner))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % f for col in cols)
+        for row, f in zip(outer, factors)
+    )
+
+
 @dataclass(frozen=True)
 class ModuleIsometry:
     """Homomorphism between finite quadratic modules in generator coordinates:
@@ -258,11 +268,12 @@ class ModuleIsometry:
         """self o inner (apply inner first)."""
         if inner.target != self.source:
             raise LatfmError("composition mismatch")
-        k = inner.source.ell
-        cols = [self.apply(inner.column(j)) for j in range(k)]
-        mat = tuple(
-            tuple(cols[j][i] for j in range(k)) for i in range(self.target.ell)
-        )
+        if inner.target.is_trivial:
+            # through the zero module; inner.matrix has no rows to read the
+            # column count from
+            mat = tuple((0,) * inner.source.ell for _ in self.target.factors)
+        else:
+            mat = compose_matrices(self.matrix, inner.matrix, self.target.factors)
         return ModuleIsometry(inner.source, self.target, mat)
 
     def is_bijective(self) -> bool:

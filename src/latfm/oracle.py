@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
+from .discriminant import compose_matrices
 from .errors import BudgetExhaustedError, LatfmError, NotSubgroupError
 from .intmat import Mat, Vec, det, identity, mat_mul, mat_vec, transpose
 from .lattices import Lattice
@@ -62,28 +63,62 @@ class _NodeCounter:
             node_limit=self.budget.node_limit,
         )
 
-    def tick(self):
-        self.count += 1
+    def tick(self, count: int = 1):
+        """Charge `count` nodes.  Past the limit the count stops at limit + 1,
+        where charging one node at a time would have stopped."""
+        self.count += count
         if self.count > self.budget.node_limit:
+            self.count = self.budget.node_limit + 1
             raise self.exhausted(
                 f"node limit {self.budget.node_limit} reached without a decision"
             )
 
 
+def _last_coordinates(c: int, lin: int, const: int, bound: int):
+    """Ascending integers t in [-bound, bound] with c t^2 + 2 lin t + const = 0."""
+    if c == 0:
+        if lin == 0:
+            return range(-bound, bound + 1) if const == 0 else ()
+        t, rem = divmod(-const, 2 * lin)
+        return (t,) if rem == 0 and -bound <= t <= bound else ()
+    disc = lin * lin - c * const
+    if disc < 0:
+        return ()
+    root = isqrt(disc)
+    if root * root != disc:
+        return ()
+    roots = set()
+    for num in (-lin - root, -lin + root):
+        t, rem = divmod(num, c)
+        if rem == 0 and -bound <= t <= bound:
+            roots.add(t)
+    return sorted(roots)
+
+
 def _norm_buckets(lattice: Lattice, bound: int, needed, nodes: _NodeCounter):
     """Nonzero vectors with entries in [-bound, bound], grouped by square,
-    enumerated in lexicographic order (kept per bucket)."""
-    buckets: dict = {norm: [] for norm in needed}
+    in lexicographic order within each bucket.
+
+    The whole box of (2 bound + 1)^n vectors is charged at once, but only the
+    prefixes of its first n - 1 coordinates are walked: for each prefix p and
+    square N the last coordinate t solves Q(p, t) = c t^2 + 2 l t + Q(p, 0) = N
+    exactly, with c = g[n-1][n-1] and l = g[n-1] . p.
+    """
     n = lattice.rank
+    nodes.tick((2 * bound + 1) ** n)
     gram = lattice.gram
-    for vec in itertools.product(range(-bound, bound + 1), repeat=n):
-        nodes.tick()
-        if not any(vec):
-            continue
-        gv = mat_vec(gram, vec)
-        norm = sum(a * b for a, b in zip(vec, gv))
-        if norm in buckets:
-            buckets[norm].append(vec)
+    head = tuple(row[:-1] for row in gram[:-1])
+    last_row = gram[-1][:-1]
+    c = gram[-1][-1]
+    buckets: dict = {norm: [] for norm in needed}
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=n - 1):
+        lin = sum(a * b for a, b in zip(last_row, prefix))
+        q0 = sum(a * b for a, b in zip(prefix, mat_vec(head, prefix)))
+        nonzero = any(prefix)
+        for norm, bucket in buckets.items():
+            for t in _last_coordinates(c, lin, q0 - norm, bound):
+                if t or nonzero:
+                    bucket.append(prefix + (t,))
     return buckets
 
 
@@ -96,13 +131,17 @@ def _column_search(l1: Lattice, target_gram: Mat, nodes: _NodeCounter, find_all:
     n = l1.rank
     needed = {target_gram[j][j] for j in range(n)}
     buckets = _norm_buckets(l1, nodes.budget.entry_bound, needed, nodes)
+    # each candidate with G1 cand, computed once
+    buckets = {
+        norm: [(cand, mat_vec(l1.gram, cand)) for cand in vecs]
+        for norm, vecs in buckets.items()
+    }
     found: list[Mat] = []
     chosen: list[Vec] = []
 
     def extend(j: int) -> bool:
-        for cand in buckets[target_gram[j][j]]:
+        for cand, gcand in buckets[target_gram[j][j]]:
             nodes.tick()
-            gcand = mat_vec(l1.gram, cand)
             ok = True
             for i in range(j):
                 if sum(a * b for a, b in zip(chosen[i], gcand)) != target_gram[i][j]:
@@ -189,6 +228,47 @@ def _as_group(isos, full_index) -> list[int]:
     return indices
 
 
+def _is_closed(mats, factors) -> bool:
+    """True iff a o b lies in the set for all a, b in `mats`, checked through
+    generators instead of all pairs.
+
+    The elements are taken in order; one not yet reached becomes a generator,
+    and the reached set is closed under x -> x o t for every generator t.
+    When every element is reached, each is a product of generators, so
+    S o T within S gives S o S within S.
+    """
+    members = set(mats)
+    reached: list = []
+    seen: set = set()
+    gens: list = []
+
+    def reach(x) -> bool:
+        if x not in members:
+            return False
+        if x not in seen:
+            seen.add(x)
+            reached.append(x)
+        return True
+
+    for s in mats:
+        if s in seen:
+            continue
+        gens.append(s)
+        old = len(reached)
+        reach(s)
+        for x in reached[:old]:
+            if not reach(compose_matrices(x, s, factors)):
+                return False
+        i = old
+        while i < len(reached):
+            x = reached[i]
+            i += 1
+            for t in gens:
+                if not reach(compose_matrices(x, t, factors)):
+                    return False
+    return True
+
+
 def double_coset_count(left, full, right) -> int:
     """Number of orbits of `full` under x -> l.x.r over the subgroups `left`
     and `right` (union-find on the finite element list)."""
@@ -201,21 +281,18 @@ def double_coset_count(left, full, right) -> int:
     for iso in itertools.chain(full, left, right):
         if iso.source != module or iso.target != module:
             raise LatfmError("double cosets need automorphisms of one module")
-    full_index = {iso.matrix: i for i, iso in enumerate(full)}
+    mats = [iso.matrix for iso in full]
+    full_index = {mat: i for i, mat in enumerate(mats)}
     if len(full_index) != len(full):
         raise LatfmError("full group contains duplicates")
-    for a in full:
-        for b in full:
-            if a.compose(b).matrix not in full_index:
-                raise NotSubgroupError("full set is not closed under composition")
+    factors = module.factors
+    if not _is_closed(mats, factors):
+        raise NotSubgroupError("full set is not closed under composition")
     left_idx = set(_as_group(left, full_index))
     right_idx = set(_as_group(right, full_index))
-    for group, idx_set in ((left, left_idx), (right, right_idx)):
-        for a in group:
-            for b in group:
-                c = full_index[a.compose(b).matrix]
-                if c not in idx_set:
-                    raise NotSubgroupError("factor is not closed under composition")
+    for idx_set in (left_idx, right_idx):
+        if not _is_closed([mats[i] for i in sorted(idx_set)], factors):
+            raise NotSubgroupError("factor is not closed under composition")
     parent = list(range(len(full)))
 
     def find(x: int) -> int:
@@ -229,10 +306,9 @@ def double_coset_count(left, full, right) -> int:
         if rx != ry:
             parent[ry] = rx
 
-    for i, x in enumerate(full):
+    for i, x in enumerate(mats):
         for li in left_idx:
-            lx = full[li].compose(x)
+            lx = compose_matrices(mats[li], x, factors)
             for ri in right_idx:
-                y = full_index[lx.compose(full[ri]).matrix]
-                union(i, y)
+                union(i, full_index[compose_matrices(lx, mats[ri], factors)])
     return len({find(i) for i in range(len(full))})

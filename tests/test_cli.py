@@ -178,6 +178,40 @@ class TestIsometry:
         assert code == 3
         assert "budget" in err
 
+    def test_rank_three_witness(self):
+        argv = ["isometry", "--gram1", "[[2,1,0],[1,2,1],[0,1,4]]",
+                "--gram2", "[[2,1,1],[1,2,0],[1,0,4]]"]
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out, err) == (
+            0, "isometric via [[-1, -1, 0], [0, 1, -1], [0, 0, 1]]\n", ""
+        )
+        assert elapsed < 2.0
+
+    def test_rank_four_box_past_the_node_limit_is_reported_at_once(self):
+        # the default box has 101^4 vectors, more than the default 10^7 nodes
+        argv = ["isometry", "--gram1", "[[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]]",
+                "--gram2", "[[0,1,0,0],[1,2,0,0],[0,0,0,1],[0,0,1,0]]"]
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (3, "")
+        assert err == (
+            "budget exhausted: node limit 10000000 reached without a decision\n"
+        )
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--budget-entries", "0"), ("--budget-nodes", "-5")]
+    )
+    def test_nonpositive_budget_is_usage_error(self, flag, value):
+        code, out, err = invoke(
+            ["isometry", "--gram1", "[[2]]", "--gram2", "[[2]]", flag, value]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"usage error: {flag} must be a positive integer, got {value}\n"
+
 
 class TestOrbits:
     def test_counts(self):
@@ -271,7 +305,7 @@ class TestParserReuse:
 
     @staticmethod
     def run_captured(argv, capsys):
-        # argparse writes help and usage errors to sys.stdout and sys.stderr
+        # anything that bypassed the given streams is compared too
         code, out, err = invoke(argv)
         captured = capsys.readouterr()
         return code, out + captured.out, err + captured.err
@@ -286,6 +320,16 @@ class TestParserReuse:
         for _ in range(2):
             assert [self.run_captured(argv, capsys) for argv in self.ARGVS] == fresh
         assert cli._parser.cache_info().misses == 1
+
+    def test_usage_errors_and_help_go_to_the_given_streams(self, capsys):
+        code, out, err = invoke(["bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: latfm ")
+        assert "invalid choice: 'bogus'" in err
+        code, out, err = invoke(["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: latfm ")
+        assert capsys.readouterr() == ("", "")
 
 
 class TestDeterminism:

@@ -10,6 +10,8 @@ from latfm.discriminant import (
     _generates,
     FiniteQuadraticModule,
     LatticeDiscriminant,
+    ModuleIsometry,
+    compose_matrices,
     cyclic_module,
     discriminant_module,
     gamma_complement_map,
@@ -312,3 +314,37 @@ def test_generates_matches_subgroup_search(factors):
         assert _generates(module, images) == expected, images
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def column_compose(outer, inner):
+    """outer o inner image by image, as ModuleIsometry.compose did before it
+    used compose_matrices."""
+    k = inner.source.ell
+    cols = [outer.apply(inner.column(j)) for j in range(k)]
+    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(outer.target.ell))
+
+
+def random_homomorphism(rng, source, target):
+    """Entry (i, j) a multiple of f_i / gcd(f_i, d_j): a well-defined map."""
+    return ModuleIsometry(source, target, tuple(
+        tuple(rng.randrange(f) // (f // gcd(f, d)) * (f // gcd(f, d))
+              for d in source.factors)
+        for f in target.factors
+    ))
+
+
+def test_compose_matches_the_column_formula():
+    modules = [TRIVIAL_MODULE] + [
+        discriminant_module(make_lattice(g))
+        for g in ([[2]], [[12]], [[2, 1], [1, 2]], [[2, 0], [0, 4]], [[4, 0], [0, 4]],
+                  [[2, 0, 0], [0, 2, 0], [0, 0, 6]])
+    ]
+    rng = random.Random(11)
+    for a, b, c in itertools.product(modules, repeat=3):
+        for _ in range(3):
+            f = random_homomorphism(rng, a, b)
+            g = random_homomorphism(rng, b, c)
+            composed = g.compose(f)
+            assert composed.matrix == column_compose(g, f), (a.factors, b.factors, c.factors)
+            if not b.is_trivial:
+                assert compose_matrices(g.matrix, f.matrix, c.factors) == composed.matrix

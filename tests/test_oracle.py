@@ -1,15 +1,25 @@
+import itertools
+import random
 from math import gcd
 
 import pytest
 
+from latfm import oracle
 from latfm.discriminant import (
+    ModuleIsometry,
     discriminant_module,
     identity_isometry,
     negation_isometry,
     orthogonal_group_of_module,
 )
-from latfm.errors import BudgetExhaustedError, LatfmError, NotSubgroupError
-from latfm.intmat import identity
+from latfm.errors import (
+    BudgetExhaustedError,
+    DegenerateError,
+    LatfmError,
+    NotSubgroupError,
+)
+from latfm.fmcount import _rank1_orthogonal_group
+from latfm.intmat import identity, mat_vec
 from latfm.lattices import make_lattice
 from latfm.oracle import (
     SearchBudget,
@@ -205,3 +215,269 @@ class TestNecessityGrid:
                         a2 = (d1 - d2) % n == 0
                         b2 = (d1 * d2 - 1) % n == 0
                         assert a2 or b2
+
+
+# ----------------------------------------------------------------------------
+# The box scan and the all-pairs closure check that the oracle used before it
+# solved for the last coordinate and checked closure through generators; they
+# stay here as the test oracles of the faster code.
+
+
+def box_scan_buckets(lattice, bound, needed, nodes):
+    """One node and one mat-vec per vector of the box, zero vector included."""
+    buckets = {norm: [] for norm in needed}
+    for vec in itertools.product(range(-bound, bound + 1), repeat=lattice.rank):
+        nodes.tick()
+        if not any(vec):
+            continue
+        gv = mat_vec(lattice.gram, vec)
+        norm = sum(a * b for a, b in zip(vec, gv))
+        if norm in buckets:
+            buckets[norm].append(vec)
+    return buckets
+
+
+def all_pairs_double_coset_count(left, full, right):
+    full, left, right = list(full), list(left), list(right)
+    if not full:
+        raise LatfmError("full group is empty")
+    module = full[0].source
+    for iso in itertools.chain(full, left, right):
+        if iso.source != module or iso.target != module:
+            raise LatfmError("double cosets need automorphisms of one module")
+    full_index = {iso.matrix: i for i, iso in enumerate(full)}
+    if len(full_index) != len(full):
+        raise LatfmError("full group contains duplicates")
+    for a in full:
+        for b in full:
+            if a.compose(b).matrix not in full_index:
+                raise NotSubgroupError("full set is not closed under composition")
+
+    def as_group(isos):
+        indices = []
+        for iso in isos:
+            idx = full_index.get(iso.matrix)
+            if idx is None:
+                raise NotSubgroupError("element does not belong to the full group")
+            indices.append(idx)
+        return set(indices)
+
+    left_idx, right_idx = as_group(left), as_group(right)
+    for group, idx_set in ((left, left_idx), (right, right_idx)):
+        for a in group:
+            for b in group:
+                if full_index[a.compose(b).matrix] not in idx_set:
+                    raise NotSubgroupError("factor is not closed under composition")
+    parent = list(range(len(full)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, x in enumerate(full):
+        for li in left_idx:
+            lx = full[li].compose(x)
+            for ri in right_idx:
+                y = find(full_index[lx.compose(full[ri]).matrix])
+                if find(i) != y:
+                    parent[y] = find(i)
+    return len({find(i) for i in range(len(full))})
+
+
+def outcome(fn, *args):
+    """The result, or the type, message and node count of the error."""
+    try:
+        return ("ok", fn(*args))
+    except LatfmError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "nodes", None))
+
+
+def bucket_outcome(scan, lattice, bound, needed, node_limit):
+    nodes = oracle._NodeCounter(SearchBudget(entry_bound=bound, node_limit=node_limit))
+    result = outcome(scan, lattice, bound, needed, nodes)
+    return result, nodes.count
+
+
+def random_grams(rng, rank, count):
+    fixed = {
+        1: [[[1]], [[-2]], [[6]]],
+        2: [[[0, 1], [1, 0]], [[0, 3], [3, 0]], [[2, 5], [5, 0]], [[0, 2], [2, -4]]],
+        3: [
+            [[0, 1, 0], [1, 0, 0], [0, 0, 2]],
+            [[0, 0, 1], [0, 2, 0], [1, 0, 0]],
+            [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            [[-2, 1, 0], [1, -2, 1], [0, 1, -4]],
+        ],
+    }[rank]
+    grams = [make_lattice(g) for g in fixed]
+    while len(grams) < count:
+        g = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            # zero diagonals make the last-coordinate equation linear
+            g[i][i] = rng.choice((0, 0, rng.randint(-6, 6)))
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-4, 4)
+        try:
+            grams.append(make_lattice(g))
+        except DegenerateError:
+            continue
+    return grams
+
+
+class TestNormBucketsAgainstTheBoxScan:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_buckets_nodes_and_exhaustion(self, rank):
+        rng = random.Random(5000 + rank)
+        count = {1: 40, 2: 40, 3: 24}[rank]
+        for lattice in random_grams(rng, rank, count):
+            bound = rng.randint(1, 9)
+            diagonal = [lattice.gram[i][i] for i in range(rank)]
+            needed = set(diagonal) | {0, rng.randint(-30, 30)}
+            box = (2 * bound + 1) ** rank
+            for node_limit in sorted({5, max(box - 1, 1), box, 10**7}):
+                old = bucket_outcome(
+                    box_scan_buckets, lattice, bound, needed, node_limit
+                )
+                new = bucket_outcome(
+                    oracle._norm_buckets, lattice, bound, needed, node_limit
+                )
+                assert new == old, (lattice.gram, bound, node_limit)
+
+    def test_box_is_charged_up_front(self):
+        nodes = oracle._NodeCounter(SearchBudget(entry_bound=50, node_limit=10**7))
+        lattice = make_lattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+        with pytest.raises(BudgetExhaustedError) as info:
+            oracle._norm_buckets(lattice, 50, {0}, nodes)
+        assert info.value.nodes == nodes.count == 10**7 + 1
+
+
+class TestSearchesAgainstTheBoxScan:
+    """Whole searches with the box scan patched back in: the same witnesses,
+    the same self-isometry lists and the same exhaustion state."""
+
+    PAIRS = [
+        ([[2, 5], [5, 0]], [[12, 5], [5, 0]]),
+        ([[4, 5], [5, 0]], [[6, 5], [5, 0]]),
+        ([[2, 17], [17, 0]], [[8, 17], [17, 0]]),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 2]]),
+        ([[2, 1], [1, 2]], [[2, -1], [-1, 2]]),
+        ([[2, 1, 0], [1, 2, 1], [0, 1, 4]], [[2, 1, 1], [1, 2, 0], [1, 0, 4]]),
+    ]
+    BUDGETS = [(2, 1000), (3, 60), (4, 60), (6, 10**6), (9, 200)]
+
+    def run_both(self, monkeypatch, fn, *args):
+        new = outcome(fn, *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_norm_buckets", box_scan_buckets)
+            old = outcome(fn, *args)
+        return old, new
+
+    def test_find_isometry(self, monkeypatch):
+        for g1, g2 in self.PAIRS:
+            for entry_bound, node_limit in self.BUDGETS:
+                budget = SearchBudget(entry_bound=entry_bound, node_limit=node_limit)
+                old, new = self.run_both(
+                    monkeypatch, find_isometry_bounded,
+                    make_lattice(g1), make_lattice(g2), budget,
+                )
+                if old[0] == "ok":
+                    old = ("ok", old[1] and old[1].matrix)
+                    new = ("ok", new[1] and new[1].matrix)
+                assert new == old, (g1, g2, entry_bound, node_limit)
+
+    def test_self_isometries(self, monkeypatch):
+        for gram in {tuple(map(tuple, g)) for pair in self.PAIRS for g in pair}:
+            for entry_bound, node_limit in self.BUDGETS:
+                budget = SearchBudget(entry_bound=entry_bound, node_limit=node_limit)
+                old, new = self.run_both(
+                    monkeypatch, enumerate_self_isometries, make_lattice(gram), budget
+                )
+                if old[0] == "ok":
+                    old = ("ok", [w.matrix for w in old[1]])
+                    new = ("ok", [w.matrix for w in new[1]])
+                assert new == old, (gram, entry_bound, node_limit)
+
+
+def closure_outcomes(left, full, right):
+    return (
+        outcome(all_pairs_double_coset_count, left, full, right),
+        outcome(double_coset_count, left, full, right),
+    )
+
+
+class TestDoubleCosetsAgainstAllPairs:
+    def test_rank_one_groups_with_full_sides(self):
+        for d in range(1, 501):
+            module, full = _rank1_orthogonal_group(d)
+            side = (identity_isometry(module), negation_isometry(module))
+            for left, right in ((side, side), (full, full)):
+                old, new = closure_outcomes(left, full, right)
+                assert old[0] == "ok" and new == old, d
+
+    def test_noncyclic_groups(self):
+        for gram in ([[2, 0], [0, 2]], [[4, 0], [0, 4]], [[2, 0], [0, 4]], [[2, 1], [1, 2]]):
+            full = orthogonal_group_of_module(discriminant_module(make_lattice(gram)))
+            old, new = closure_outcomes(full, full, full)
+            assert old[0] == "ok" and new == old, gram
+
+    def test_random_subsets(self):
+        rng = random.Random(77)
+        verdicts = set()
+        for d in (30, 60, 105, 210, 420):
+            module, full = _rank1_orthogonal_group(d)
+            for _ in range(40):
+                subset = rng.sample(full, rng.randint(1, len(full) - 1))
+                for args in ((subset, full, full), (full, full, subset),
+                             (subset, subset, subset)):
+                    old, new = closure_outcomes(*args)
+                    assert new == old, (d, [iso.matrix for iso in subset])
+                    verdicts.add(old[:3] if old[0] == "error" else "ok")
+        # both verdicts and both closure messages occur on this grid
+        assert verdicts == {
+            "ok",
+            ("error", NotSubgroupError, "full set is not closed under composition"),
+            ("error", NotSubgroupError, "factor is not closed under composition"),
+        }
+
+    def test_random_subsets_of_a_noncommutative_monoid(self):
+        # all 16 endomorphisms of (Z/2)^2: closed, not a group, and its units
+        # GL(2, 2) do not commute
+        module = discriminant_module(make_lattice([[2, 0], [0, 2]]))
+        monoid = [
+            ModuleIsometry(module, module, (entries[:2], entries[2:]))
+            for entries in itertools.product(range(2), repeat=4)
+        ]
+        units = [iso for iso in monoid if iso.is_bijective()]
+        assert len(units) == 6
+        # the missing product x o y has x taken before y: right products
+        # with the new generator y alone would miss it
+        x, y = (((0, 0), (0, 1)), ((1, 0), (1, 0)))
+        zero_x_y = [iso for m in (((0, 0), (0, 0)), x, y)
+                    for iso in monoid if iso.matrix == m]
+        old, new = closure_outcomes(zero_x_y, zero_x_y, zero_x_y)
+        assert old[0] == "error" and new == old
+        rng = random.Random(78)
+        verdicts = set()
+        for full in (monoid, units):
+            for _ in range(60):
+                subset = rng.sample(full, rng.randint(2, 6))
+                for args in ((subset, full, units[:1]), (units[:1], full, subset),
+                             (subset, subset, subset)):
+                    old, new = closure_outcomes(*args)
+                    assert new == old, [iso.matrix for iso in subset]
+                    verdicts.add(old[0])
+        assert verdicts == {"ok", "error"}
+
+    def test_set_without_identity(self):
+        module, full = _rank1_orthogonal_group(6)
+        negation = (negation_isometry(module),)
+        for args in ((negation, full, negation), (negation, negation, negation)):
+            old, new = closure_outcomes(*args)
+            assert old[0] == "error" and new == old
+
+    def test_closed_zero_map_is_accepted(self):
+        module = discriminant_module(make_lattice([[12]]))
+        zero = (ModuleIsometry(module, module, ((0,),)),)
+        old, new = closure_outcomes(zero, zero, zero)
+        assert old == new == ("ok", 1)

@@ -71,3 +71,20 @@ def test_factorization_and_primality_stay_under_their_traced_spans():
     metrics = tracer.metrics()
     assert metrics["fmcount.factorization.calls"] >= 1
     assert metrics["fmcount.primality.calls"] >= 1
+
+
+def test_double_cosets_compose_matrices_not_module_isometries():
+    # omega(510510) = 7, so O(A) has 2^7 = 128 elements
+    argv = ["fm-count", "--degree", "1021020", "--verify", "--json"]
+    plain = io.StringIO()
+    assert latfm.cli.run(argv, plain, io.StringIO()) == 0
+    tracer = load_spans().Tracer().install()
+    try:
+        traced = io.StringIO()
+        code = latfm.cli.run(argv, traced, io.StringIO())
+    finally:
+        tracer.uninstall()
+    assert code == 0 and traced.getvalue() == plain.getvalue()
+    metrics = tracer.metrics()
+    assert metrics["oracle.double_coset.calls"] == 1
+    assert metrics["discriminant.module_isometry.calls"] < 1000
