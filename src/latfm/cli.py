@@ -32,6 +32,7 @@ from .selfcheck import SelftestConfig, run_selftest
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 BUDGET_ERROR = 3
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a pipe closed early
 
 
 class UsageError(Exception):
@@ -417,4 +418,12 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(CLOSED_STDOUT)
+    sys.exit(code)

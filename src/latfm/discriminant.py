@@ -31,6 +31,7 @@ from .intmat import (
     rational_solve,
     smith_normal_form,
     solve_integer,
+    vec_dot,
 )
 from .lattices import Lattice, SublatticeEmbedding, is_primitive, orthogonal_complement
 
@@ -158,55 +159,69 @@ TRIVIAL_MODULE = FiniteQuadraticModule(factors=(), generators=(), q=(), b=())
 
 class LatticeDiscriminant:
     """Discriminant module of a lattice plus the Smith-transform bookkeeping
-    needed to express arbitrary dual vectors in generator coordinates."""
+    needed to express arbitrary dual vectors in generator coordinates.
+
+    Generator j is v_j / f_j, with v_j an integer column of the Smith right
+    transform and f_j its invariant factor, so b and q are read off the
+    integer pairing v_i^t G v_j; rationals appear only in the module."""
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
         u, d, v = smith_normal_form(lattice.gram)
         n = lattice.rank
-        diag = [d[i][i] for i in range(n)]
-        positions = [i for i in range(n) if diag[i] > 1]
-        gens = tuple(
-            tuple(Fraction(v[r][j], diag[j]) for r in range(n)) for j in positions
-        )
+        positions = [i for i in range(n) if d[i][i] > 1]
+        factors = tuple(d[p][p] for p in positions)
+        columns = tuple(tuple(v[r][p] for r in range(n)) for p in positions)
+        images = [mat_vec(lattice.gram, col) for col in columns]
+        raw = [[vec_dot(x, gy) for gy in images] for x in columns]
         bmat = tuple(
-            tuple(_mod1(self._pair(x, y)) for y in gens) for x in gens
+            tuple(
+                Fraction(raw[i][j] % (fi * fj), fi * fj)
+                for j, fj in enumerate(factors)
+            )
+            for i, fi in enumerate(factors)
         )
         q = None
-        if lattice.is_even or not gens:
-            q = tuple(_mod2(self._pair(g, g)) for g in gens)
-        self._umat = u
-        self._diag = diag
-        self._positions = positions
+        if lattice.is_even or not factors:
+            q = tuple(
+                Fraction(raw[i][i] % (2 * f * f), f * f) for i, f in enumerate(factors)
+            )
+        self._rows = tuple(u[p] for p in positions)
+        self._columns = columns
         self.module = FiniteQuadraticModule(
-            factors=tuple(diag[i] for i in positions),
-            generators=gens,
+            factors=factors,
+            generators=tuple(
+                tuple(Fraction(x, f) for x in col) for col, f in zip(columns, factors)
+            ),
             q=q,
             b=bmat,
         )
 
-    def _pair(self, x, y) -> Fraction:
-        gy = mat_vec(self.lattice.gram, y)
-        return sum((a * b for a, b in zip(x, gy)), Fraction(0))
+    def _coords(self, numerator: Vec, denominator: int) -> Vec:
+        """Generator coordinates of the class of numerator / denominator."""
+        x = []
+        for entry in mat_vec(self.lattice.gram, numerator):
+            if entry % denominator:
+                raise LatfmError("vector does not lie in the dual lattice")
+            x.append(entry // denominator)
+        return tuple(
+            vec_dot(row, x) % f for row, f in zip(self._rows, self.module.factors)
+        )
 
     def coords(self, dual_vector) -> Vec:
         """Generator coordinates of the class of a dual vector (rational
         coordinates y with G.y integral)."""
-        gy = mat_vec(self.lattice.gram, dual_vector)
-        x = []
-        for entry in gy:
-            f = Fraction(entry)
-            if f.denominator != 1:
-                raise LatfmError("vector does not lie in the dual lattice")
-            x.append(f.numerator)
-        c = mat_vec(self._umat, tuple(x))
-        return tuple(c[p] % self._diag[p] for p in self._positions)
+        denominator = lcm(*(Fraction(x).denominator for x in dual_vector))
+        return self._coords(
+            tuple(int(x * denominator) for x in dual_vector), denominator
+        )
 
     def isometry_action(self, matrix: Mat) -> "ModuleIsometry":
         """Induced automorphism of the discriminant module of a lattice
         self-isometry given in column convention."""
         cols = [
-            self.coords(mat_vec(matrix, g)) for g in self.module.generators
+            self._coords(mat_vec(matrix, col), f)
+            for col, f in zip(self._columns, self.module.factors)
         ]
         k = len(cols)
         mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
@@ -368,11 +383,12 @@ def _isometry_search(
     results = []
     if a1.factors != a2.factors:
         return results
-    if a1.order > order_bound or a2.order > order_bound:
-        raise SearchSpaceTooLargeError(
-            f"module order {max(a1.order, a2.order)} exceeds bound {order_bound}"
-        )
     k = a1.ell
+    # the cyclic case solves for square roots and never lists the group
+    if k > 1 and a1.order > order_bound:
+        raise SearchSpaceTooLargeError(
+            f"module order {a1.order} exceeds bound {order_bound}"
+        )
     if k == 0:
         return [ModuleIsometry(a1, a2, ())]
     if k == 1:
@@ -424,7 +440,7 @@ def is_isometric_modules(
 
     Cyclic modules go through modular square roots (the least root is the
     witness); the generic case is an exhaustive search over generator images
-    with pruning on (order, q) and b.
+    with pruning on (order, q) and b, refused above order_bound.
     """
     found = _isometry_search(a1, a2, order_bound, find_all=False)
     return found[0] if found else None
@@ -485,19 +501,3 @@ def gamma_complement_map(
     if not verify_anti_isometry(iso):
         raise LatfmError("gamma correspondence failed its defining identity")
     return iso
-
-
-def mulclose(isos) -> tuple[ModuleIsometry, ...]:
-    """Closure of a set of module automorphisms under composition."""
-    seen = {iso.matrix: iso for iso in isos}
-    frontier = list(seen.values())
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(seen.values()):
-                for c in (a.compose(b), b.compose(a)):
-                    if c.matrix not in seen:
-                        seen[c.matrix] = c
-                        nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda iso: iso.matrix))

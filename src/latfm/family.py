@@ -84,11 +84,16 @@ def make_member(d: int, n: int) -> FamilyMember:
         UU, ((1, d, 0, 0), (0, n, 1, 0))
     )
     closed = closed_form_module(d, n)
-    machinery = LatticeDiscriminant(lattice).module
+    disc = LatticeDiscriminant(lattice)
+    machinery = disc.module
     if machinery.factors != closed.factors:
         raise LatfmError("closed-form module disagrees with the SNF machinery")
-    if is_isometric_modules(closed, machinery) is None:
-        raise LatfmError("closed-form module is not isometric to the SNF output")
+    if not closed.is_trivial:
+        # the closed-form generator maps to a unit of equal q: that map is
+        # an isometry of the two cyclic modules
+        image = disc.coords(closed.generators[0])
+        if gcd(image[0], n) != 1 or machinery.q_of(image) != closed.q[0]:
+            raise LatfmError("closed-form module is not isometric to the SNF output")
     return FamilyMember(d=d, n=n, lattice=lattice, embedding=embedding, module=closed)
 
 

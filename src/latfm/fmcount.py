@@ -21,7 +21,6 @@ from .discriminant import (
     LatticeDiscriminant,
     ModuleIsometry,
     identity_isometry,
-    mulclose,
     negation_isometry,
 )
 from .errors import LatfmError, RankUnsupportedError
@@ -29,6 +28,7 @@ from .lattices import Lattice
 from .oracle import (
     DEFAULT_BUDGET,
     SearchBudget,
+    closure,
     double_coset_count,
     enumerate_self_isometries,
 )
@@ -116,8 +116,10 @@ def fm_count_genus_sum(
             image = pm_id_subgroup(disc.module)
         else:
             witnesses = enumerate_self_isometries(member, budget)
-            image = mulclose(
-                {disc.isometry_action(w.matrix) for w in witnesses}
+            actions = [disc.isometry_action(w.matrix).matrix for w in witnesses]
+            image = tuple(
+                ModuleIsometry(disc.module, disc.module, mat)
+                for mat in sorted(closure(actions, disc.module.factors))
             )
         total += double_coset_count(image, full, g_image(disc.module))
     return total

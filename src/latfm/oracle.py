@@ -228,45 +228,55 @@ def _as_group(isos, full_index) -> list[int]:
     return indices
 
 
-def _is_closed(mats, factors) -> bool:
-    """True iff a o b lies in the set for all a, b in `mats`, checked through
-    generators instead of all pairs.
+def _composer(factors):
+    """a o b for endomorphisms of the module with these invariant factors.
+    On a cyclic module both are 1x1, and a o b is a product mod f."""
+    if len(factors) == 1:
+        (f,) = factors
+        return lambda a, b: (((a[0][0] * b[0][0]) % f,),)
+    return lambda a, b: compose_matrices(a, b, factors)
 
-    The elements are taken in order; one not yet reached becomes a generator,
+
+def closure(gens, factors, within=None):
+    """Every product of the endomorphism matrices `gens` under composition,
+    in the order reached; None as soon as a product falls outside `within`.
+
+    The gens are taken in order; one not yet reached becomes a generator,
     and the reached set is closed under x -> x o t for every generator t.
-    When every element is reached, each is a product of generators, so
-    S o T within S gives S o S within S.
+    Every product of generators is then reached, so checking closure of a
+    set S needs S o T within S for the generators T only, not all pairs.
     """
-    members = set(mats)
+    compose = _composer(factors)
     reached: list = []
     seen: set = set()
-    gens: list = []
+    used: list = []
 
     def reach(x) -> bool:
-        if x not in members:
+        if within is not None and x not in within:
             return False
         if x not in seen:
             seen.add(x)
             reached.append(x)
         return True
 
-    for s in mats:
+    for s in gens:
         if s in seen:
             continue
-        gens.append(s)
+        used.append(s)
         old = len(reached)
-        reach(s)
+        if not reach(s):
+            return None
         for x in reached[:old]:
-            if not reach(compose_matrices(x, s, factors)):
-                return False
+            if not reach(compose(x, s)):
+                return None
         i = old
         while i < len(reached):
             x = reached[i]
             i += 1
-            for t in gens:
-                if not reach(compose_matrices(x, t, factors)):
-                    return False
-    return True
+            for t in used:
+                if not reach(compose(x, t)):
+                    return None
+    return reached
 
 
 def double_coset_count(left, full, right) -> int:
@@ -286,13 +296,15 @@ def double_coset_count(left, full, right) -> int:
     if len(full_index) != len(full):
         raise LatfmError("full group contains duplicates")
     factors = module.factors
-    if not _is_closed(mats, factors):
+    if closure(mats, factors, within=full_index) is None:
         raise NotSubgroupError("full set is not closed under composition")
     left_idx = set(_as_group(left, full_index))
     right_idx = set(_as_group(right, full_index))
     for idx_set in (left_idx, right_idx):
-        if not _is_closed([mats[i] for i in sorted(idx_set)], factors):
+        side = [mats[i] for i in sorted(idx_set)]
+        if closure(side, factors, within=set(side)) is None:
             raise NotSubgroupError("factor is not closed under composition")
+    compose = _composer(factors)
     parent = list(range(len(full)))
 
     def find(x: int) -> int:
@@ -308,7 +320,7 @@ def double_coset_count(left, full, right) -> int:
 
     for i, x in enumerate(mats):
         for li in left_idx:
-            lx = compose_matrices(mats[li], x, factors)
+            lx = compose(mats[li], x)
             for ri in right_idx:
-                union(i, full_index[compose_matrices(lx, mats[ri], factors)])
+                union(i, full_index[compose(lx, mats[ri])])
     return len({find(i) for i in range(len(full))})

@@ -272,6 +272,25 @@ class TestFactorizationLimits:
         assert "Traceback" not in proc.stderr
 
 
+def test_a_closed_stdout_ends_quietly():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from latfm.cli import main; main()",
+         "fm-count", "--range", "2..40000"],  # ten pipe buffers of output
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"degree=2 ")
+    proc.stdout.close()  # as `| head -1` does
+    try:
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    assert proc.returncode == cli.CLOSED_STDOUT == 141
+    assert err == b""
+
+
 # sha256 of stdout, recorded with the trial-division factorization
 PINNED_STDOUT = {
     ("fm-count", "--range", "2..2000", "--verify", "--json"):

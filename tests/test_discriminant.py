@@ -29,14 +29,19 @@ from latfm.errors import (
     OddLatticeError,
     SearchSpaceTooLargeError,
 )
+from latfm.family import AMBIENTS, build_family, embed_member
+from latfm.intmat import identity, mat_vec, smith_normal_form
 from latfm.lattices import (
+    E8,
     K3,
     Lattice,
     SublatticeEmbedding,
     U,
     direct_sum,
     make_lattice,
+    orthogonal_complement,
 )
+from latfm.oracle import SearchBudget, enumerate_self_isometries
 
 UU = direct_sum(U, U)
 
@@ -179,9 +184,22 @@ class TestIsometrySearch:
         assert {g.matrix for g in group} == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
 
     def test_search_bound(self):
-        module = discriminant_module(make_lattice([[2, 17], [17, 0]]))
+        # (Z/6)^2 of order 36: the generic search lists the group, so the
+        # bound applies
+        module = discriminant_module(make_lattice([[6, 0], [0, 6]]))
+        assert module.ell == 2
         with pytest.raises(SearchSpaceTooLargeError):
-            is_isometric_modules(module, module, order_bound=100)
+            is_isometric_modules(module, module, order_bound=30)
+        with pytest.raises(SearchSpaceTooLargeError):
+            orthogonal_group_of_module(module, order_bound=30)
+
+    def test_cyclic_search_ignores_the_bound(self):
+        # Z/289: square roots of units, no walk over the group
+        module = discriminant_module(make_lattice([[2, 17], [17, 0]]))
+        iso = is_isometric_modules(module, module, order_bound=100)
+        assert iso is not None and iso.matrix == ((1,),)
+        group = orthogonal_group_of_module(module, order_bound=100)
+        assert [g.matrix for g in group] == [((1,),), ((288,),)]
 
     def test_odd_module_rejected(self):
         module = discriminant_module(make_lattice([[3]]))
@@ -348,3 +366,112 @@ def test_compose_matches_the_column_formula():
             assert composed.matrix == column_compose(g, f), (a.factors, b.factors, c.factors)
             if not b.is_trivial:
                 assert compose_matrices(g.matrix, f.matrix, c.factors) == composed.matrix
+
+
+class FractionLatticeDiscriminant:
+    """LatticeDiscriminant as it was before it computed on integers:
+    Fraction generators, b and q by a Fraction mat-vec, coords on G.y."""
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+        u, d, v = smith_normal_form(lattice.gram)
+        n = lattice.rank
+        diag = [d[i][i] for i in range(n)]
+        positions = [i for i in range(n) if diag[i] > 1]
+        gens = tuple(
+            tuple(Fraction(v[r][j], diag[j]) for r in range(n)) for j in positions
+        )
+        bmat = tuple(tuple(self._pair(x, y) % 1 for y in gens) for x in gens)
+        q = None
+        if lattice.is_even or not gens:
+            q = tuple(self._pair(g, g) % 2 for g in gens)
+        self._umat = u
+        self._diag = diag
+        self._positions = positions
+        self.module = FiniteQuadraticModule(
+            factors=tuple(diag[i] for i in positions), generators=gens, q=q, b=bmat
+        )
+
+    def _pair(self, x, y):
+        gy = mat_vec(self.lattice.gram, y)
+        return sum((a * b for a, b in zip(x, gy)), Fraction(0))
+
+    def coords(self, dual_vector):
+        x = []
+        for entry in mat_vec(self.lattice.gram, dual_vector):
+            f = Fraction(entry)
+            if f.denominator != 1:
+                raise LatfmError("vector does not lie in the dual lattice")
+            x.append(f.numerator)
+        c = mat_vec(self._umat, tuple(x))
+        return tuple(c[p] % self._diag[p] for p in self._positions)
+
+    def isometry_action(self, matrix):
+        cols = [self.coords(mat_vec(matrix, g)) for g in self.module.generators]
+        k = len(cols)
+        mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+        return ModuleIsometry(self.module, self.module, mat)
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except LatfmError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def integer_grid_lattices():
+    """Rank-1 [[2d]] for d <= 200, the members of build_family(c, d) for
+    c <= 4 and d <= 3 with their complements in both ambients, and a few
+    small, odd and unimodular lattices."""
+    lattices = [make_lattice([[2 * d]]) for d in range(1, 201)]
+    for c in range(1, 5):
+        for d in range(1, 4):
+            for member in build_family(c, d).members:
+                lattices.append(member.lattice)
+                for ambient in AMBIENTS:
+                    embedding = embed_member(member, ambient)
+                    lattices.append(orthogonal_complement(embedding).lattice())
+    lattices += [
+        make_lattice(g)
+        for g in ([[2, 0], [0, 2]], [[3]], [[-5]], [[1, 0], [0, 3]],
+                  [[3, 1], [1, 3]], [[2, 1], [1, 5]], [[2, 0, 0], [0, 2, 0], [0, 0, 6]],
+                  # unequal factors with b(g_1, g_2) != 0
+                  [[-8, -8], [-8, -6]], [[4, 2, 0], [2, 6, 0], [0, 0, 12]])
+    ]
+    return lattices + [U, E8, K3]
+
+
+def test_integer_discriminant_matches_the_fraction_one():
+    rng = random.Random(17)
+    lattices = integer_grid_lattices()
+    assert any(not lat.is_even for lat in lattices)
+    for lat in lattices:
+        old, new = FractionLatticeDiscriminant(lat), LatticeDiscriminant(lat)
+        assert new.module == old.module, lat.gram
+        if lat.is_even:
+            assert new.module.q is not None
+        n = lat.rank
+        gens = old.module.generators
+        # dual vectors: combinations of the generators plus a lattice vector;
+        # the last one is off the dual lattice unless the module is trivial
+        vectors = [
+            tuple(
+                sum((a * g[r] for a, g in zip(coeffs, gens)), Fraction(0))
+                + rng.randint(-5, 5)
+                for r in range(n)
+            )
+            for coeffs in (
+                [rng.randint(-2 * f, 2 * f) for f in old.module.factors]
+                for _ in range(4)
+            )
+        ]
+        vectors.append((Fraction(1, 2 * abs(lat.det) + 1),) + (0,) * (n - 1))
+        for vec in vectors:
+            assert outcome(new.coords, vec) == outcome(old.coords, vec), lat.gram
+        isometries = [identity(n), tuple(tuple(-x for x in row) for row in identity(n))]
+        if n <= 2:
+            budget = SearchBudget(entry_bound=3, node_limit=10**5)
+            isometries += [w.matrix for w in enumerate_self_isometries(lat, budget)]
+        for mat in isometries:
+            assert new.isometry_action(mat) == old.isometry_action(mat), (lat.gram, mat)

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from latfm import family
 from latfm.discriminant import (
     cyclic_module,
     discriminant_module,
@@ -59,6 +60,21 @@ class TestMakeMember:
                 assert member.lattice.det == -n * n
                 machinery = discriminant_module(member.lattice)
                 assert machinery.factors == member.module.factors
+
+    @pytest.mark.parametrize(
+        "qval,generator",
+        [
+            (Fraction(2, 9), (Fraction(1, 3), Fraction(-2, 9))),  # q sign flipped
+            (Fraction(0), (Fraction(1), Fraction(-2, 3))),  # 3 g: q = 0, no unit
+        ],
+    )
+    def test_closed_form_checked_through_its_generator(self, monkeypatch, qval, generator):
+        # -1 is not a square mod 3, so a q of +2/9 is no isometric module;
+        # 3 g has the q of its closed form but generates a subgroup of order 3
+        wrong = cyclic_module(9, qval, generator=generator)
+        monkeypatch.setattr(family, "closed_form_module", lambda d, n: wrong)
+        with pytest.raises(LatfmError, match="^closed-form module is not isometric"):
+            make_member(1, 3)
 
 
 class TestDiscWitness:
@@ -206,6 +222,12 @@ class TestBuildFamily:
         for attestation in bundle.attestations:
             assert attestation.rank == 20
             assert attestation.signature == Signature(2, 18)
+
+    def test_cyclic_modules_beyond_the_order_bound(self):
+        for count, n in ((8, 4099), (12, 20743)):
+            bundle = build_family(count, 1)
+            assert bundle.n == n and n * n > 10**6
+            assert len(bundle.attestations) == count * (count - 1) // 2
 
     def test_single_member(self):
         bundle = build_family(1, 5)

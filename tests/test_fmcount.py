@@ -1,6 +1,13 @@
+import random
+from math import gcd
+
 import pytest
 
-from latfm.discriminant import discriminant_module, orthogonal_group_of_module
+from latfm.discriminant import (
+    ModuleIsometry,
+    discriminant_module,
+    orthogonal_group_of_module,
+)
 from latfm.errors import RankUnsupportedError
 from latfm.fmcount import (
     distinct_prime_count,
@@ -12,7 +19,7 @@ from latfm.fmcount import (
     prime_power_blocks,
 )
 from latfm.lattices import U, direct_sum, make_lattice
-from latfm.oracle import SearchBudget, units_with_square_one
+from latfm.oracle import SearchBudget, closure, units_with_square_one
 
 
 class TestPrimeHelpers:
@@ -110,3 +117,51 @@ class TestPmIdSubgroup:
     def test_trivial_module(self):
         module = discriminant_module(U)
         assert len(pm_id_subgroup(module)) == 1
+
+
+def mulclose(isos):
+    """Closure under composition by composing every pair in both orders:
+    the genus sum's closure before it went through generators."""
+    seen = {iso.matrix: iso for iso in isos}
+    frontier = list(seen.values())
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(seen.values()):
+                for c in (a.compose(b), b.compose(a)):
+                    if c.matrix not in seen:
+                        seen[c.matrix] = c
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(seen.values(), key=lambda iso: iso.matrix))
+
+
+def test_closure_through_generators_matches_mulclose():
+    rng = random.Random(23)
+    grams = [[[2 * d]] for d in (1, 6, 30, 210, 2310)] + [
+        [[2, 0], [0, 2]], [[4, 0], [0, 4]], [[2, 0], [0, 4]], [[2, 1], [1, 2]],
+        [[2, 0, 0], [0, 2, 0], [0, 0, 6]],
+    ]
+    for gram in grams:
+        module = discriminant_module(make_lattice(gram))
+        group = orthogonal_group_of_module(module)
+        for _ in range(12):
+            gens = rng.sample(group, rng.randint(1, min(3, len(group))))
+            expected = [iso.matrix for iso in mulclose(gens)]
+            reached = closure([iso.matrix for iso in gens], module.factors)
+            assert len(reached) == len(set(reached))
+            assert sorted(reached) == expected, (gram, [g.matrix for g in gens])
+        # endomorphisms too, where their monoid is small enough for mulclose:
+        # entry (i, j) a multiple of f_i / gcd(f_i, f_j)
+        factors = module.factors
+        for _ in range(12 if module.order <= 8 else 0):
+            gens = [
+                ModuleIsometry(module, module, tuple(
+                    tuple(rng.randrange(0, f, f // gcd(f, g)) for g in factors)
+                    for f in factors
+                ))
+                for _ in range(rng.randint(1, 3))
+            ]
+            expected = [iso.matrix for iso in mulclose(gens)]
+            reached = closure([iso.matrix for iso in gens], factors)
+            assert sorted(reached) == expected, (gram, [g.matrix for g in gens])

@@ -88,3 +88,33 @@ def test_double_cosets_compose_matrices_not_module_isometries():
     metrics = tracer.metrics()
     assert metrics["oracle.double_coset.calls"] == 1
     assert metrics["discriminant.module_isometry.calls"] < 1000
+
+
+def test_family_searches_modules_only_for_its_attestations():
+    # three members: three pairs to attest; each member's closed form is
+    # checked against the SNF module without a search
+    argv = ["family", "--count", "3", "--degree", "2", "--json"]
+    plain = io.StringIO()
+    assert latfm.cli.run(argv, plain, io.StringIO()) == 0
+    tracer = load_spans().Tracer().install()
+    try:
+        traced = io.StringIO()
+        code = latfm.cli.run(argv, traced, io.StringIO())
+    finally:
+        tracer.uninstall()
+    assert code == 0 and traced.getvalue() == plain.getvalue()
+    metrics = tracer.metrics()
+    assert metrics["discriminant.module_search.cyclic.calls"] == 3
+    assert metrics["discriminant.module_search.generic.calls"] == 0
+
+
+def test_genus_sum_closes_the_image_through_generators():
+    members = [latfm.lattices.make_lattice(g)
+               for g in ([[2, 1], [1, 4]], [[2, 0], [0, 6]], [[4, 1], [1, 2]])]
+    tracer = load_spans().Tracer().install()
+    try:
+        total = latfm.fmcount.fm_count_genus_sum(members)
+    finally:
+        tracer.uninstall()
+    assert total == 3
+    assert tracer.metrics()["discriminant.module_isometry.calls"] <= 30
