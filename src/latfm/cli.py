@@ -1,9 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 budget exhausted.
-Identical argv always produces byte-identical output; the LATFM_THREADS
-variable is accepted for forward compatibility but computations are serial
-and its value never changes any output.
+Identical argv always produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -381,24 +379,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _check_thread_env() -> None:
-    value = os.environ.get("LATFM_THREADS")
-    if value is None:
-        return
-    try:
-        workers = int(value)
-    except ValueError:
-        raise UsageError(f"LATFM_THREADS must be a positive integer, got {value!r}")
-    if workers < 1:
-        raise UsageError(f"LATFM_THREADS must be a positive integer, got {value!r}")
-
-
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _parser()
     try:
-        _check_thread_env()
         try:
             # argparse prints help and usage errors to sys.stdout/sys.stderr
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -223,8 +223,11 @@ def check_nikulin_hypotheses(
 
 
 def embed_member(member: FamilyMember, ambient: str) -> SublatticeEmbedding:
-    """Zero-pad the U+U embedding into the chosen ambient (its first four
-    coordinates span U+U for both supported ambients)."""
+    """The member in the full ambient, the reference path for the complement
+    that `complement_genus_data` computes by splitting.
+
+    Zero-pads the U+U embedding (the first four coordinates of the ambient
+    span U+U for both supported ambients)."""
     target = AMBIENTS[ambient]
     pad = target.rank - 4
     basis = tuple(vec + (0,) * pad for vec in member.embedding.basis)
@@ -232,11 +235,21 @@ def embed_member(member: FamilyMember, ambient: str) -> SublatticeEmbedding:
 
 
 def complement_genus_data(member: FamilyMember, ambient: str) -> GenusData:
-    complement = orthogonal_complement(embed_member(member, ambient))
-    lattice = complement.lattice()
+    """Genus data of the member's orthogonal complement in the ambient.
+
+    The ambient is (U+U) + W with W unimodular (U + E8(-1)^2 for k3, U for
+    abelian) and the member lies in U+U, so its complement is K + W with K
+    its rank-2 complement in U+U.  W adds nothing to the discriminant
+    module, A(K + W) = A(K), and the signatures add.  The module's
+    generators are in the coordinates of K's basis."""
+    block = orthogonal_complement(member.embedding).lattice()
+    # sig W = sig(ambient) - sig(U+U), from signatures cached per process
+    whole, head, own = AMBIENTS[ambient].signature, UU.signature, block.signature
     return GenusData(
-        signature=lattice.signature,
-        module=LatticeDiscriminant(lattice).module,
+        signature=Signature(
+            own.plus + whole.plus - head.plus, own.minus + whole.minus - head.minus
+        ),
+        module=LatticeDiscriminant(block).module,
     )
 
 

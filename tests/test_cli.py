@@ -368,12 +368,6 @@ class TestDeterminism:
 
 
 class TestThreadEnv:
-    def test_invalid_thread_count(self, monkeypatch):
-        monkeypatch.setenv("LATFM_THREADS", "zero")
-        code, _, err = invoke(["fm-count", "--degree", "4"])
-        assert code == 2
-        assert "LATFM_THREADS" in err
-
     def test_valid_thread_count_no_output_change(self, monkeypatch):
         base = invoke(["fm-count", "--degree", "60", "--json"])
         monkeypatch.setenv("LATFM_THREADS", "8")

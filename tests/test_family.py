@@ -1,10 +1,14 @@
+import hashlib
+import io
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from latfm import family
+from latfm import discriminant, family, intmat, lattices
+from latfm.cli import run
 from latfm.discriminant import (
+    LatticeDiscriminant,
     cyclic_module,
     discriminant_module,
     is_isometric_modules,
@@ -12,6 +16,8 @@ from latfm.discriminant import (
 )
 from latfm.errors import HypothesisFailedError, LatfmError, NotCoprimeError
 from latfm.family import (
+    AMBIENTS,
+    UU,
     DiscIsoWitness,
     GenusData,
     NonIsometryCertificate,
@@ -26,7 +32,7 @@ from latfm.family import (
     polarization_orbits_in_u,
 )
 from latfm.fmcount import fm_count_rho1
-from latfm.lattices import Signature, is_primitive, make_lattice
+from latfm.lattices import Signature, is_primitive, make_lattice, orthogonal_complement
 
 
 class TestMakeMember:
@@ -289,3 +295,84 @@ class TestComplementModuleStructure:
             is_isometric_modules(data.module, cyclic_module(289, Fraction(2, 289)))
             is not None
         )
+
+
+def _complement_in_the_ambient(member, ambient):
+    """Signature and module of the complement built in the full ambient (a
+    20x20 Gram in K3): the path that the split K + W replaces."""
+    lattice = orthogonal_complement(embed_member(member, ambient)).lattice()
+    return lattice.signature, LatticeDiscriminant(lattice).module
+
+
+# every (count, d) with count <= 3 and d <= 40, or count 4, 5 and d <= 12
+SPLIT_GRID = [(c, d) for c in (1, 2, 3) for d in range(1, 41)] + [
+    (c, d) for c in (4, 5) for d in range(1, 13)
+]
+
+
+class TestComplementBySplitting:
+    @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+    def test_agrees_with_the_ambient_path(self, ambient):
+        checked = 0
+        for count, d in SPLIT_GRID:
+            for member in build_family(count, d, ambient).members:
+                data = complement_genus_data(member, ambient)
+                signature, module = _complement_in_the_ambient(member, ambient)
+                assert data.signature == signature
+                assert data.rank == signature.rank == AMBIENTS[ambient].rank - 2
+                assert data.module.factors == module.factors
+                assert data.module.q == module.q
+                assert data.module.b == module.b
+                checked += 1
+        assert checked == 348
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["family", "--count", "3", "--degree", "2", "--json"],
+                "3f3bd043b1549d6070ac203ee1360a65a7578f233e5c21d6d32093acc4a94225",
+            ),
+            (
+                ["family", "--count", "3", "--degree", "2", "--ambient", "abelian", "--json"],
+                "1e2561de45ff533a41bb971a3e14bc185e06f483dc70532dd42b58453efe1295",
+            ),
+            (
+                ["family", "--count", "8", "--degree", "2"],
+                "2f620de6a643a45e38c4e6da3fed7a5d60e3962eb9d800b6d68e3eb2d5abdcc8",
+            ),
+        ],
+        ids=["count3-k3-json", "count3-abelian-json", "count8-text"],
+    )
+    def test_family_stdout_pinned(self, argv, digest):
+        # digests of the stdout computed through the full-ambient complements
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv, out, err) == 0
+        assert err.getvalue() == ""
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    def test_kernels_see_no_matrix_above_4x4(self, monkeypatch):
+        # the ambient signatures are per-process constants: the tail
+        # signature reads them once, so warm them before watching
+        for lattice in (*AMBIENTS.values(), UU):
+            assert lattice.signature
+        shapes = {"snf": [], "signature": []}
+
+        def watch(kind, fn):
+            def wrapper(m, *args, **kwargs):
+                shapes[kind].append((len(m), max((len(row) for row in m), default=0)))
+                return fn(m, *args, **kwargs)
+
+            return wrapper
+
+        snf = watch("snf", intmat.smith_normal_form)
+        monkeypatch.setattr(intmat, "smith_normal_form", snf)
+        monkeypatch.setattr(discriminant, "smith_normal_form", snf)
+        monkeypatch.setattr(
+            lattices, "_signature_of_gram", watch("signature", lattices._signature_of_gram)
+        )
+        bundle = build_family(3, 1, "k3")
+        assert len(bundle.attestations) == 3
+        for kind, seen in shapes.items():
+            assert seen, kind
+            assert max(max(shape) for shape in seen) <= 4, (kind, seen)
