@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .discriminant import discriminant_module
 from .errors import BudgetExhaustedError, LatfmError
@@ -71,15 +70,11 @@ def _parse_gram(text: str) -> Lattice:
     return make_lattice(data)
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
 def _module_payload(module) -> dict:
     return {
         "factors": list(module.factors),
-        "q": [_frac(x) for x in module.q] if module.q is not None else None,
-        "b": [[_frac(x) for x in row] for row in module.b],
+        "q": [str(x) for x in module.q] if module.q is not None else None,
+        "b": [[str(x) for x in row] for row in module.b],
     }
 
 

@@ -28,7 +28,6 @@ from .intmat import (
     invariant_factors,
     mat_mul,
     mat_vec,
-    rational_solve,
     smith_normal_form,
     solve_integer,
     vec_dot,
@@ -204,8 +203,14 @@ class LatticeDiscriminant:
             if entry % denominator:
                 raise LatfmError("vector does not lie in the dual lattice")
             x.append(entry // denominator)
+        return self._functional_class(x)
+
+    def _functional_class(self, functional: Vec) -> Vec:
+        """Generator coordinates of the class of the dual vector y with
+        G.y = functional, an integer vector."""
         return tuple(
-            vec_dot(row, x) % f for row, f in zip(self._rows, self.module.factors)
+            vec_dot(row, functional) % f
+            for row, f in zip(self._rows, self.module.factors)
         )
 
     def coords(self, dual_vector) -> Vec:
@@ -327,38 +332,32 @@ def negation_isometry(module: FiniteQuadraticModule) -> ModuleIsometry:
     return ModuleIsometry(module, module, mat)
 
 
-def verify_isometry(iso: ModuleIsometry) -> bool:
-    """Bijective and preserves q mod 2Z and b mod Z on all generators."""
+def _scales_forms(iso: ModuleIsometry, sign: int) -> bool:
+    """Bijective with q(image) = sign q mod 2Z and b(image) = sign b mod Z on
+    all generators."""
     if not iso.is_bijective():
         return False
     q_s = iso.source.require_q()
     k = iso.source.ell
     cols = [iso.column(j) for j in range(k)]
     for j in range(k):
-        if iso.target.q_of(cols[j]) != q_s[j]:
+        if iso.target.q_of(cols[j]) != _mod2(sign * q_s[j]):
             return False
     for i in range(k):
         for j in range(k):
-            if iso.target.b_of(cols[i], cols[j]) != iso.source.b[i][j]:
+            if iso.target.b_of(cols[i], cols[j]) != _mod1(sign * iso.source.b[i][j]):
                 return False
     return True
+
+
+def verify_isometry(iso: ModuleIsometry) -> bool:
+    """Bijective and preserves q mod 2Z and b mod Z on all generators."""
+    return _scales_forms(iso, 1)
 
 
 def verify_anti_isometry(iso: ModuleIsometry) -> bool:
     """Bijective with q(image) = -q and b(image) = -b."""
-    if not iso.is_bijective():
-        return False
-    q_s = iso.source.require_q()
-    k = iso.source.ell
-    cols = [iso.column(j) for j in range(k)]
-    for j in range(k):
-        if iso.target.q_of(cols[j]) != _mod2(-q_s[j]):
-            return False
-    for i in range(k):
-        for j in range(k):
-            if iso.target.b_of(cols[i], cols[j]) != _mod1(-iso.source.b[i][j]):
-                return False
-    return True
+    return _scales_forms(iso, -1)
 
 
 def _element_buckets(module: FiniteQuadraticModule):
@@ -479,22 +478,14 @@ def gamma_complement_map(
     pairing_v = mat_mul(v.basis, ambient.gram)  # rank(V) x n, row i = b(v_i, -)
     pairing_w = mat_mul(w.basis, ambient.gram)
     cols = []
-    for gen in dv.module.generators:
-        rhs = mat_vec(dv.lattice.gram, gen)
-        rhs_int = []
-        for x in rhs:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise LatfmError("generator is not a dual vector")
-            rhs_int.append(f.numerator)
-        lift = solve_integer(pairing_v, tuple(rhs_int))
+    for col, f in zip(dv._columns, dv.module.factors):
+        # the functional G.(col / f) of a generator; exact, as col / f is dual
+        functional = tuple(x // f for x in mat_vec(dv.lattice.gram, col))
+        lift = solve_integer(pairing_v, functional)
         if lift is None:
             raise LatfmError("dual vector does not lift to the ambient lattice")
-        wfun = mat_vec(pairing_w, lift)
-        ycoords = rational_solve(dw.lattice.gram, wfun)
-        if ycoords is None:
-            raise LatfmError("projection to the complement dual failed")
-        cols.append(dw.coords(ycoords))
+        # b(w_i, lift) is the functional on V-perp of the same class
+        cols.append(dw._functional_class(mat_vec(pairing_w, lift)))
     k = len(cols)
     mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(dw.module.ell))
     iso = ModuleIsometry(dv.module, dw.module, mat)

@@ -1,9 +1,10 @@
 """Fourier-Mukai partner counts for Picard number 1.
 
 Two independent routes are provided: the closed form 2^(p(d)-1) and the
-double-coset sum over the genus, evaluated here for the rank-one class with
-the orthogonal group of the discriminant built from the units of square one.
-The two must agree; tests and the selftest enforce it.
+double-coset sum over the genus.  The rank-one class <2d> goes through the
+same genus sum as explicit members, with O(A) from the cyclic module search
+(the units a mod 2d with a^2 = 1 mod 4d).  The two must agree; tests and the
+selftest enforce it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .arith import (  # noqa: F401
     is_prime,
     least_prime_above,
     prime_factorization,
-    unit_square_roots,
 )
 from .discriminant import (
     FiniteQuadraticModule,
@@ -22,6 +22,7 @@ from .discriminant import (
     ModuleIsometry,
     identity_isometry,
     negation_isometry,
+    orthogonal_group_of_module,
 )
 from .errors import LatfmError, RankUnsupportedError
 from .lattices import Lattice
@@ -68,31 +69,18 @@ def pm_id_subgroup(module: FiniteQuadraticModule) -> tuple[ModuleIsometry, ...]:
     return (ident,) if neg.matrix == ident.matrix else (ident, neg)
 
 
-def _rank1_orthogonal_group(d: int) -> tuple[FiniteQuadraticModule, tuple[ModuleIsometry, ...]]:
-    """O(A) for the discriminant of the rank-one lattice of determinant 2d,
-    realized from the units a mod 2d with a^2 = 1 mod 4d rather than the
-    generic module search."""
-    module = LatticeDiscriminant(Lattice(((2 * d,),))).module
-    if module.is_trivial:
-        return module, (identity_isometry(module),)
-    units = unit_square_roots(1, 1, 2 * d, 4 * d)
-    group = tuple(ModuleIsometry(module, module, ((a,),)) for a in units)
-    return module, group
-
-
 def fm_count_rho1_via_cosets(d: int) -> int:
     """The double-coset count for the single rank-one genus class.
 
     Must equal fm_count_rho1(d); the selftest asserts this across a range.
     """
-    module, full = _rank1_orthogonal_group(d)
-    side = pm_id_subgroup(module)
-    return double_coset_count(side, full, side)
+    if d < 1:
+        raise LatfmError("d must be positive")
+    return fm_count_genus_sum((Lattice(((2 * d,),)),))
 
 
 def fm_count_genus_sum(
     genus_members,
-    g_image=pm_id_subgroup,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> int:
     """Sum of |O(S)\\O(A_S)/G| over the supplied genus members.
@@ -102,8 +90,6 @@ def fm_count_genus_sum(
     bounded self-isometry enumeration (then closed under composition) for
     rank 2; higher rank is not supported.
     """
-    from .discriminant import orthogonal_group_of_module
-
     total = 0
     for member in genus_members:
         if member.rank > 2:
@@ -112,8 +98,9 @@ def fm_count_genus_sum(
             )
         disc = LatticeDiscriminant(member)
         full = orthogonal_group_of_module(disc.module)
+        side = pm_id_subgroup(disc.module)
         if member.rank == 1:
-            image = pm_id_subgroup(disc.module)
+            image = side
         else:
             witnesses = enumerate_self_isometries(member, budget)
             actions = [disc.isometry_action(w.matrix).matrix for w in witnesses]
@@ -121,5 +108,5 @@ def fm_count_genus_sum(
                 ModuleIsometry(disc.module, disc.module, mat)
                 for mat in sorted(closure(actions, disc.module.factors))
             )
-        total += double_coset_count(image, full, g_image(disc.module))
+        total += double_coset_count(image, full, side)
     return total

@@ -93,10 +93,6 @@ def det(m: Mat) -> int:
     return sign * last if len(pivots) == len(m) else 0
 
 
-def is_unimodular(m: Mat) -> bool:
-    return len(m) == len(m[0]) and abs(det(m)) == 1 if m else True
-
-
 def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
     """Return (U, D, V) with U*m*V = D diagonal, d_i >= 0, d_i | d_{i+1},
     and U, V unimodular."""

@@ -9,7 +9,6 @@ matrix as B^t G B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Callable, NamedTuple
@@ -26,7 +25,6 @@ from .intmat import (
     Mat,
     Vec,
     complete_primitive_vector,
-    det,
     freeze,
     hermite_normal_form,
     integer_solver,
@@ -50,51 +48,48 @@ class Signature(NamedTuple):
         return self.plus + self.minus
 
 
-def _signature_of_gram(gram: Mat) -> Signature:
-    """Sylvester signature by exact symmetric elimination over Q.
+def _signature_of_gram(gram: Mat) -> tuple[int, Signature]:
+    """Determinant and Sylvester signature by one fraction-free symmetric
+    elimination.
 
-    A nonzero diagonal entry is used as an ordinary pivot; if every active
-    diagonal entry vanishes, a nonzero off-diagonal entry spans a hyperbolic
-    2x2 block contributing (1, 1), which is eliminated as a block pivot.
+    Pivots are diagonal and updated in Bareiss form, a_ij <- (p a_ij - a_ip
+    a_pj) / prev, so every entry is a minor and each division is exact; the
+    pivots are the leading principal minors D_1, ..., D_n of a congruent
+    matrix, the last one is the determinant, and the sign changes in
+    1, D_1, ..., D_n count the negative squares (Jacobi).  If every active
+    diagonal entry vanishes, the unimodular congruence e_p -> e_p + e_q puts
+    2 a_pq on the diagonal.  An all-zero active block means determinant 0;
+    the signature is then that of the form modulo its radical.
     """
-    work = [[Fraction(x) for x in row] for row in gram]
-    active = list(range(len(gram)))
-    plus = minus = 0
-    while active:
-        p = next((i for i in active if work[i][i] != 0), None)
-        if p is not None:
-            val = work[p][p]
-            if val > 0:
-                plus += 1
-            else:
-                minus += 1
-            rest = [i for i in active if i != p]
-            for i in rest:
-                ci = work[i][p] / val
-                if ci:
-                    for j in rest:
-                        work[i][j] -= ci * work[p][j]
-            active = rest
-            continue
-        pq = next(
-            ((i, j) for i in active for j in active if i < j and work[i][j] != 0),
-            None,
-        )
-        if pq is None:
-            raise DegenerateError("form is degenerate")
-        p, q = pq
-        a = work[p][q]
-        plus += 1
-        minus += 1
-        rest = [i for i in active if i != p and i != q]
-        for i in rest:
-            cp = work[i][p] / a
-            cq = work[i][q] / a
-            if cp or cq:
-                for j in rest:
-                    work[i][j] -= cp * work[q][j] + cq * work[p][j]
-        active = rest
-    return Signature(plus, minus)
+    a = [list(row) for row in gram]
+    prev = 1
+    rank = minus = 0
+    while a:
+        p = next((i for i, row in enumerate(a) if row[i]), None)
+        if p is None:
+            pq = next(
+                ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                None,
+            )
+            if pq is None:
+                break
+            p, q = pq
+            # e_p -> e_p + e_q: row p += row q, then column p += column q
+            a[p] = [x + y for x, y in zip(a[p], a[q])]
+            for row in a:
+                row[p] += row[q]
+        prow = a.pop(p)
+        piv = prow.pop(p)
+        for i, row in enumerate(a):
+            c = row.pop(p)
+            if c or piv != prev:
+                a[i] = [(piv * x - c * y) // prev for x, y in zip(row, prow)]
+        if (piv < 0) != (prev < 0):
+            minus += 1
+        prev = piv
+        rank += 1
+    det = prev if rank == len(gram) else 0
+    return det, Signature(rank - minus, minus)
 
 
 @dataclass(frozen=True)
@@ -126,16 +121,20 @@ class Lattice:
         return len(self.gram)
 
     @cached_property
+    def _det_signature(self) -> tuple[int, Signature]:
+        return _signature_of_gram(self.gram)
+
+    @property
     def det(self) -> int:
-        return det(self.gram)
+        return self._det_signature[0]
 
     @property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    @cached_property
+    @property
     def signature(self) -> Signature:
-        return _signature_of_gram(self.gram)
+        return self._det_signature[1]
 
     @property
     def is_unimodular(self) -> bool:

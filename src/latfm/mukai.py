@@ -69,9 +69,6 @@ class MukaiVector:
     def is_isotropic(self) -> bool:
         return self.square == 0
 
-    def swapped(self) -> "MukaiVector":
-        return MukaiVector(self.s, self.h_mult, self.r, self.d)
-
     @property
     def class_key(self) -> tuple[int, int, int]:
         lo, hi = sorted((self.r, self.s))

@@ -8,7 +8,7 @@ are pure and deterministic; a failure message names the violated invariant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .discriminant import (
@@ -43,7 +43,12 @@ from .lattices import (
     rescale,
 )
 from .mukai import MUKAI, enumerate_mukai_vectors, moduli_lattice_shadow
-from .oracle import SearchBudget, find_isometry_bounded, units_with_square_one
+from .oracle import find_isometry_bounded, units_with_square_one
+
+# the rank-2 grid (d1, d2 <= GRID_D_MAX, n in GRID_PRIMES) and the family size
+GRID_D_MAX = 6
+GRID_PRIMES = (3, 5, 7)
+FAMILY_COUNT = 3
 
 
 @dataclass(frozen=True)
@@ -51,10 +56,6 @@ class SelftestConfig:
     d_max: int = 200
     shadow_d_max: int = 30
     closed_form_max: int = 30
-    grid_d_max: int = 6
-    grid_primes: tuple[int, ...] = (3, 5, 7)
-    family_count: int = 3
-    budget: SearchBudget = field(default_factory=SearchBudget)
     # test hook: replace a builtin to watch the suite catch the corruption
     lattice_overrides: tuple[tuple[str, Lattice], ...] = ()
 
@@ -270,16 +271,16 @@ def check_moduli_shadows(cfg: SelftestConfig):
 
 
 def check_rank2_grid(cfg: SelftestConfig):
-    for n in cfg.grid_primes:
-        for d1 in range(1, cfg.grid_d_max + 1):
-            for d2 in range(d1, cfg.grid_d_max + 1):
+    for n in GRID_PRIMES:
+        for d1 in range(1, GRID_D_MAX + 1):
+            for d2 in range(d1, GRID_D_MAX + 1):
                 if gcd(2 * d1, n) != 1 or gcd(2 * d2, n) != 1:
                     continue
                 conditions = isometry_necessary_conditions(d1, d2, n)
                 l1 = make_member(d1, n).lattice
                 l2 = make_member(d2, n).lattice
                 try:
-                    witness = find_isometry_bounded(l1, l2, cfg.budget)
+                    witness = find_isometry_bounded(l1, l2)
                 except BudgetExhaustedError:
                     witness = None
                 if witness is not None:
@@ -296,9 +297,9 @@ def check_rank2_grid(cfg: SelftestConfig):
 
 
 def check_disc_witness_biconditional(cfg: SelftestConfig):
-    for n in cfg.grid_primes:
-        for d1 in range(1, cfg.grid_d_max + 1):
-            for d2 in range(1, cfg.grid_d_max + 1):
+    for n in GRID_PRIMES:
+        for d1 in range(1, GRID_D_MAX + 1):
+            for d2 in range(1, GRID_D_MAX + 1):
                 if gcd(2 * d1, n) != 1 or gcd(2 * d2, n) != 1:
                     continue
                 witness = disc_groups_isomorphic(d1, n, d2, n)
@@ -313,8 +314,8 @@ def check_disc_witness_biconditional(cfg: SelftestConfig):
 
 def check_family_pipeline(cfg: SelftestConfig):
     for ambient, rank, sig in (("k3", 20, (2, 18)), ("abelian", 4, (2, 2))):
-        bundle = build_family(cfg.family_count, 1, ambient)
-        pairs = cfg.family_count * (cfg.family_count - 1) // 2
+        bundle = build_family(FAMILY_COUNT, 1, ambient)
+        pairs = FAMILY_COUNT * (FAMILY_COUNT - 1) // 2
         _require(len(bundle.witnesses) == pairs, "family must witness every pair")
         _require(len(bundle.certificates) == pairs, "family must certify every pair")
         for attestation in bundle.attestations:

@@ -8,7 +8,7 @@ from latfm.discriminant import (
     discriminant_module,
     orthogonal_group_of_module,
 )
-from latfm.errors import RankUnsupportedError
+from latfm.errors import LatfmError, RankUnsupportedError
 from latfm.fmcount import (
     distinct_prime_count,
     fm_count_genus_sum,
@@ -70,6 +70,11 @@ class TestCosetRoute:
     def test_matches_closed_form(self):
         for d in range(1, 60):
             assert fm_count_rho1_via_cosets(d) == fm_count_rho1(d)
+
+    @pytest.mark.parametrize("d", [0, -1, -6])
+    def test_nonpositive_d_is_an_error(self, d):
+        with pytest.raises(LatfmError, match="d must be positive"):
+            fm_count_rho1_via_cosets(d)
 
     def test_unit_route_matches_module_search(self):
         # the units realize exactly the orthogonal group found by search

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,7 @@ from latfm.errors import (
     NotSymmetricError,
     ZeroScaleError,
 )
-from latfm.intmat import complete_primitive_vector_gcd
+from latfm.intmat import complete_primitive_vector_gcd, det, rank
 from latfm.lattices import (
     E8,
     E8_MINUS,
@@ -19,6 +20,7 @@ from latfm.lattices import (
     Lattice,
     Signature,
     SublatticeEmbedding,
+    _signature_of_gram,
     direct_sum,
     determinant,
     is_even,
@@ -30,14 +32,13 @@ from latfm.lattices import (
     rescale,
     signature,
 )
+from latfm.mukai import MUKAI, enumerate_mukai_vectors, moduli_lattice_shadow
 
 UU = direct_sum(U, U)
 
 
 def leading_minors_positive(lat):
     # independent positive-definiteness check via leading principal minors
-    from latfm.intmat import det
-
     g = lat.gram
     return all(det(tuple(row[: k + 1] for row in g[: k + 1])) > 0
                for k in range(lat.rank))
@@ -279,3 +280,101 @@ class TestIsotropicQuotient:
         for x in vperp.basis:
             for y in vperp.basis:
                 assert quot.lattice.dot(quot.project(x), quot.project(y)) == UU.dot(x, y)
+
+
+def fraction_signature(gram):
+    """Sylvester signature by symmetric elimination over Q, with 1x1 pivots
+    and hyperbolic 2x2 block pivots; the oracle for the integer elimination."""
+    work = [[Fraction(x) for x in row] for row in gram]
+    active = list(range(len(gram)))
+    plus = minus = 0
+    while active:
+        p = next((i for i in active if work[i][i] != 0), None)
+        if p is not None:
+            val = work[p][p]
+            if val > 0:
+                plus += 1
+            else:
+                minus += 1
+            rest = [i for i in active if i != p]
+            for i in rest:
+                ci = work[i][p] / val
+                if ci:
+                    for j in rest:
+                        work[i][j] -= ci * work[p][j]
+            active = rest
+            continue
+        pq = next(
+            ((i, j) for i in active for j in active if i < j and work[i][j] != 0),
+            None,
+        )
+        if pq is None:
+            raise DegenerateError("form is degenerate")
+        p, q = pq
+        a = work[p][q]
+        plus += 1
+        minus += 1
+        rest = [i for i in active if i != p and i != q]
+        for i in rest:
+            cp = work[i][p] / a
+            cq = work[i][q] / a
+            if cp or cq:
+                for j in rest:
+                    work[i][j] -= cp * work[q][j] + cq * work[p][j]
+        active = rest
+    return Signature(plus, minus)
+
+
+def check_against_the_oracle(gram) -> bool:
+    """One integer elimination against intmat.det and the Fraction
+    signature; returns whether the form is non-degenerate."""
+    got_det, got_sig = _signature_of_gram(gram)
+    assert got_det == det(gram), gram
+    if got_det == 0:
+        with pytest.raises(DegenerateError):
+            fraction_signature(gram)
+        # the signature of the form modulo its radical
+        assert got_sig.rank == rank(gram), gram
+        return False
+    assert got_sig == fraction_signature(gram), gram
+    return True
+
+
+class TestEliminationAgainstTheFractionOracle:
+    def test_seeded_symmetric_grid(self):
+        # rank 1-7, entries -3..3, 40% with a zero diagonal, so the
+        # e_p -> e_p + e_q step and the all-zero block both occur
+        rng = random.Random(1)
+        outcomes = []
+        for _ in range(20000):
+            n = rng.randint(1, 7)
+            zero_diagonal = rng.random() < 0.4
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+                if zero_diagonal:
+                    rows[i][i] = 0
+            outcomes.append(check_against_the_oracle(tuple(map(tuple, rows))))
+        assert outcomes.count(True) == 17652
+
+    def test_builtin_lattices(self):
+        for lat in (U, E8_MINUS, K3, MUKAI):
+            assert check_against_the_oracle(lat.gram)
+            assert (lat.det, lat.signature) == _signature_of_gram(lat.gram)
+
+    def test_shadow_quotients_of_degree_60060(self):
+        vectors = enumerate_mukai_vectors(30030)
+        assert len(vectors) == 64
+        for v in vectors:
+            quotient = moduli_lattice_shadow(v).quotient
+            assert check_against_the_oracle(quotient.gram)
+            assert (quotient.det, quotient.signature) == (-1, Signature(3, 19))
+
+    def test_degenerate_gram_gives_det_zero(self):
+        for gram in (((0,),), ((0, 0), (0, 0)), ((1, 1), (1, 1)),
+                     ((0, 1, 1), (1, 0, 1), (1, 1, 2)),
+                     ((2, 3, 5), (3, 0, 3), (5, 3, 8))):
+            assert not check_against_the_oracle(gram)
+            with pytest.raises(DegenerateError, match="determinant zero"):
+                Lattice(gram)

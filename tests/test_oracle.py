@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from latfm import oracle
+from latfm.arith import unit_square_roots
 from latfm.discriminant import (
     ModuleIsometry,
     discriminant_module,
@@ -18,7 +19,6 @@ from latfm.errors import (
     LatfmError,
     NotSubgroupError,
 )
-from latfm.fmcount import _rank1_orthogonal_group
 from latfm.intmat import identity, mat_vec
 from latfm.lattices import make_lattice
 from latfm.oracle import (
@@ -34,6 +34,13 @@ SMALL = SearchBudget(entry_bound=12, node_limit=1_000_000)
 
 def family_lattice(d, n):
     return make_lattice([[2 * d, n], [n, 0]])
+
+
+def rank1_orthogonal_group(d):
+    """The module of <2d> and O(A) from the units a mod 2d with a^2 = 1 mod 4d."""
+    module = discriminant_module(make_lattice([[2 * d]]))
+    units = unit_square_roots(1, 1, 2 * d, 4 * d)
+    return module, tuple(ModuleIsometry(module, module, ((a,),)) for a in units)
 
 
 class TestFindIsometry:
@@ -409,7 +416,7 @@ def closure_outcomes(left, full, right):
 class TestDoubleCosetsAgainstAllPairs:
     def test_rank_one_groups_with_full_sides(self):
         for d in range(1, 501):
-            module, full = _rank1_orthogonal_group(d)
+            module, full = rank1_orthogonal_group(d)
             side = (identity_isometry(module), negation_isometry(module))
             for left, right in ((side, side), (full, full)):
                 old, new = closure_outcomes(left, full, right)
@@ -425,7 +432,7 @@ class TestDoubleCosetsAgainstAllPairs:
         rng = random.Random(77)
         verdicts = set()
         for d in (30, 60, 105, 210, 420):
-            module, full = _rank1_orthogonal_group(d)
+            module, full = rank1_orthogonal_group(d)
             for _ in range(40):
                 subset = rng.sample(full, rng.randint(1, len(full) - 1))
                 for args in ((subset, full, full), (full, full, subset),
@@ -470,7 +477,7 @@ class TestDoubleCosetsAgainstAllPairs:
         assert verdicts == {"ok", "error"}
 
     def test_set_without_identity(self):
-        module, full = _rank1_orthogonal_group(6)
+        module, full = rank1_orthogonal_group(6)
         negation = (negation_isometry(module),)
         for args in ((negation, full, negation), (negation, negation, negation)):
             old, new = closure_outcomes(*args)

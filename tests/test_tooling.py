@@ -118,3 +118,21 @@ def test_genus_sum_closes_the_image_through_generators():
         tracer.uninstall()
     assert total == 3
     assert tracer.metrics()["discriminant.module_isometry.calls"] <= 30
+
+
+def test_every_lattice_runs_one_elimination():
+    # det and signature of a Lattice come from one integer elimination;
+    # intmat.det is left to non-Gram matrices
+    for argv in (["mukai", "--degree", "12", "--shadow", "--json"],
+                 ["family", "--count", "3", "--degree", "2", "--json"]):
+        tracer = load_spans().Tracer().install()
+        try:
+            code = latfm.cli.run(argv, io.StringIO(), io.StringIO())
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        metrics = tracer.metrics()
+        assert metrics["intmat.det.calls"] == 0, argv
+        assert metrics["lattices.lattice_init.calls"] > 0, argv
+        assert (metrics["lattices.signature.calls"]
+                == metrics["lattices.lattice_init.calls"]), argv
