@@ -378,6 +378,11 @@ def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _parser()
+    # Gram entries and invariant factors have any number of digits: lift
+    # CPython's int/str conversion limit for the call, where it has one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         try:
             # argparse prints help and usage errors to sys.stdout/sys.stderr
@@ -395,6 +400,9 @@ def run(argv, out=None, err=None) -> int:
     except LatfmError as exc:
         print(f"error: {exc}", file=err)
         return DOMAIN_ERROR
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -1,9 +1,10 @@
 """Discriminant groups A_L = L*/L as finite quadratic modules.
 
-A module stores its invariant factors (all > 1), dual-coordinate generator
-representatives, the quadratic values q(g_i) in Q/2Z and the bilinear values
-b(g_i, g_j) in Q/Z.  Q/Z representatives are canonicalized into [0, 1) and
-Q/2Z representatives into [0, 2) so printed forms are unique.
+A module stores its invariant factors (all > 1), integer generator columns
+and one symmetric integer matrix over the exponent e (the last factor):
+b(g_i, g_j) = gram[i][j] / e mod Z and, on an even module,
+q(g_i) = gram[i][i] / e mod 2Z.  Entries are canonicalized into [0, e), the
+diagonal of an even module into [0, 2e), so printed forms are unique.
 """
 
 from __future__ import annotations
@@ -37,26 +38,19 @@ from .lattices import Lattice, SublatticeEmbedding, is_primitive, orthogonal_com
 DEFAULT_ORDER_BOUND = 10**6
 
 
-def _mod1(x) -> Fraction:
-    return Fraction(x) % 1
-
-
-def _mod2(x) -> Fraction:
-    return Fraction(x) % 2
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticModule:
     """Finite abelian group in invariant-factor form with torsion forms b and q.
 
-    q is None exactly when the module came from an odd lattice, where only the
-    Q/Z-valued bilinear form is defined.
+    Generator j is the integer column generators[j] divided by factors[j].
+    even is False exactly when the module came from an odd lattice, where
+    only the Q/Z-valued bilinear form is defined.
     """
 
     factors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
-    q: tuple[Fraction, ...] | None
-    b: tuple[tuple[Fraction, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
+    even: bool = True
 
     def __post_init__(self):
         factors = tuple(int(f) for f in self.factors)
@@ -67,30 +61,44 @@ class FiniteQuadraticModule:
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise LatfmError("invariant factors must form a divisibility chain")
-        gens = tuple(tuple(Fraction(x) for x in g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        if gens and len(gens) != k:
+        object.__setattr__(self, "generators", freeze(self.generators))
+        if self.generators and len(self.generators) != k:
             raise LatfmError("generator count does not match factor count")
-        bmat = tuple(tuple(_mod1(x) for x in row) for row in self.b)
-        object.__setattr__(self, "b", bmat)
-        if len(bmat) != k or any(len(row) != k for row in bmat):
-            raise LatfmError("b table has wrong shape")
+        gram = freeze(self.gram)
+        if len(gram) != k or any(len(row) != k for row in gram):
+            raise LatfmError("form matrix has wrong shape")
+        e = self.exponent
+        diagonal = 2 * e if self.even else e
+        gram = tuple(
+            tuple(x % (diagonal if i == j else e) for j, x in enumerate(row))
+            for i, row in enumerate(gram)
+        )
+        object.__setattr__(self, "gram", gram)
         for i in range(k):
             for j in range(k):
-                if bmat[i][j] != bmat[j][i]:
-                    raise LatfmError("b table is not symmetric")
-                if _mod1(factors[i] * bmat[i][j]) != 0:
+                if gram[i][j] != gram[j][i]:
+                    raise LatfmError("form matrix is not symmetric")
+                if factors[i] * gram[i][j] % e:
                     raise LatfmError("b value incompatible with generator order")
-        if self.q is not None:
-            qvals = tuple(_mod2(x) for x in self.q)
-            object.__setattr__(self, "q", qvals)
-            if len(qvals) != k:
-                raise LatfmError("q table has wrong length")
-            for i in range(k):
-                if _mod2(factors[i] * factors[i] * qvals[i]) != 0:
-                    raise LatfmError("q value incompatible with generator order")
-                if _mod1(qvals[i]) != bmat[i][i]:
-                    raise LatfmError("q and b disagree on the diagonal")
+            if self.even and factors[i] * factors[i] * gram[i][i] % (2 * e):
+                raise LatfmError("q value incompatible with generator order")
+
+    @property
+    def exponent(self) -> int:
+        return self.factors[-1] if self.factors else 1
+
+    @property
+    def q(self) -> tuple[Fraction, ...] | None:
+        """q(g_i) in [0, 2) for printing, or None on an odd module."""
+        if not self.even:
+            return None
+        return tuple(Fraction(self.gram[i][i], self.exponent) for i in range(self.ell))
+
+    @property
+    def b(self) -> tuple[tuple[Fraction, ...], ...]:
+        """b(g_i, g_j) in [0, 1) for printing."""
+        e = self.exponent
+        return tuple(tuple(Fraction(x % e, e) for x in row) for row in self.gram)
 
     @property
     def order(self) -> int:
@@ -105,10 +113,9 @@ class FiniteQuadraticModule:
     def is_trivial(self) -> bool:
         return not self.factors
 
-    def require_q(self) -> tuple[Fraction, ...]:
-        if self.q is None:
+    def require_even(self) -> None:
+        if not self.even:
             raise OddLatticeError("q is undefined on the discriminant of an odd lattice")
-        return self.q
 
     def elements(self):
         return itertools.product(*(range(f) for f in self.factors))
@@ -121,39 +128,34 @@ class FiniteQuadraticModule:
             return 1
         return lcm(*(f // gcd(f, a) for a, f in zip(elem, self.factors)))
 
-    def q_of(self, elem: Vec) -> Fraction:
-        qvals = self.require_q()
-        total = Fraction(0)
-        k = len(self.factors)
-        for i in range(k):
-            total += elem[i] * elem[i] * qvals[i]
-            for j in range(i + 1, k):
-                total += 2 * elem[i] * elem[j] * self.b[i][j]
-        return _mod2(total)
+    def q_of(self, elem: Vec) -> int:
+        """q(elem) as an integer in [0, 2e), read over e."""
+        self.require_even()
+        return self._pairing(elem, elem) % (2 * self.exponent)
 
-    def b_of(self, x: Vec, y: Vec) -> Fraction:
-        total = Fraction(0)
-        k = len(self.factors)
-        for i in range(k):
-            for j in range(k):
-                total += x[i] * y[j] * self.b[i][j]
-        return _mod1(total)
+    def b_of(self, x: Vec, y: Vec) -> int:
+        """b(x, y) as an integer in [0, e), read over e."""
+        return self._pairing(x, y) % self.exponent
+
+    def _pairing(self, x: Vec, y: Vec) -> int:
+        return sum(
+            a * sum(g * c for g, c in zip(row, y)) for a, row in zip(x, self.gram)
+        )
 
 
-def cyclic_module(order: int, qval, generator: tuple = ()) -> FiniteQuadraticModule:
-    """Cyclic module of the given order with q(generator) = qval mod 2Z."""
+def cyclic_module(order: int, qval: int, generator: Vec = ()) -> FiniteQuadraticModule:
+    """Cyclic module of the given order with q(generator) = qval / order mod
+    2Z; generator is an integer column over order."""
     if order == 1:
         return TRIVIAL_MODULE
-    q = _mod2(qval)
     return FiniteQuadraticModule(
         factors=(order,),
-        generators=(tuple(Fraction(x) for x in generator),) if generator else (),
-        q=(q,),
-        b=((_mod1(q),),),
+        generators=(generator,) if generator else (),
+        gram=((qval,),),
     )
 
 
-TRIVIAL_MODULE = FiniteQuadraticModule(factors=(), generators=(), q=(), b=())
+TRIVIAL_MODULE = FiniteQuadraticModule(factors=(), generators=(), gram=())
 
 
 class LatticeDiscriminant:
@@ -161,8 +163,9 @@ class LatticeDiscriminant:
     needed to express arbitrary dual vectors in generator coordinates.
 
     Generator j is v_j / f_j, with v_j an integer column of the Smith right
-    transform and f_j its invariant factor, so b and q are read off the
-    integer pairing v_i^t G v_j; rationals appear only in the module."""
+    transform and f_j its invariant factor.  The module's form matrix over
+    the exponent e is v_i^t G v_j e / (f_i f_j), exact because G v_j lies in
+    f_j Z^n."""
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
@@ -172,32 +175,19 @@ class LatticeDiscriminant:
         factors = tuple(d[p][p] for p in positions)
         columns = tuple(tuple(v[r][p] for r in range(n)) for p in positions)
         images = [mat_vec(lattice.gram, col) for col in columns]
-        raw = [[vec_dot(x, gy) for gy in images] for x in columns]
-        bmat = tuple(
-            tuple(
-                Fraction(raw[i][j] % (fi * fj), fi * fj)
-                for j, fj in enumerate(factors)
-            )
-            for i, fi in enumerate(factors)
+        e = factors[-1] if factors else 1
+        gram = tuple(
+            tuple(vec_dot(x, gy) * e // (fi * fj) for gy, fj in zip(images, factors))
+            for x, fi in zip(columns, factors)
         )
-        q = None
-        if lattice.is_even or not factors:
-            q = tuple(
-                Fraction(raw[i][i] % (2 * f * f), f * f) for i, f in enumerate(factors)
-            )
         self._rows = tuple(u[p] for p in positions)
-        self._columns = columns
         self.module = FiniteQuadraticModule(
-            factors=factors,
-            generators=tuple(
-                tuple(Fraction(x, f) for x in col) for col, f in zip(columns, factors)
-            ),
-            q=q,
-            b=bmat,
+            factors, columns, gram, even=lattice.is_even or not factors
         )
 
-    def _coords(self, numerator: Vec, denominator: int) -> Vec:
-        """Generator coordinates of the class of numerator / denominator."""
+    def coords(self, numerator: Vec, denominator: int) -> Vec:
+        """Generator coordinates of the class of the dual vector
+        numerator / denominator."""
         x = []
         for entry in mat_vec(self.lattice.gram, numerator):
             if entry % denominator:
@@ -213,20 +203,12 @@ class LatticeDiscriminant:
             for row, f in zip(self._rows, self.module.factors)
         )
 
-    def coords(self, dual_vector) -> Vec:
-        """Generator coordinates of the class of a dual vector (rational
-        coordinates y with G.y integral)."""
-        denominator = lcm(*(Fraction(x).denominator for x in dual_vector))
-        return self._coords(
-            tuple(int(x * denominator) for x in dual_vector), denominator
-        )
-
     def isometry_action(self, matrix: Mat) -> "ModuleIsometry":
         """Induced automorphism of the discriminant module of a lattice
         self-isometry given in column convention."""
         cols = [
-            self._coords(mat_vec(matrix, col), f)
-            for col, f in zip(self._columns, self.module.factors)
+            self.coords(mat_vec(matrix, col), f)
+            for col, f in zip(self.module.generators, self.module.factors)
         ]
         k = len(cols)
         mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
@@ -337,15 +319,19 @@ def _scales_forms(iso: ModuleIsometry, sign: int) -> bool:
     all generators."""
     if not iso.is_bijective():
         return False
-    q_s = iso.source.require_q()
-    k = iso.source.ell
+    # a bijection has equal factors on both sides, so both forms are read
+    # over the same exponent
+    source, target = iso.source, iso.target
+    source.require_even()
+    e = source.exponent
+    k = source.ell
     cols = [iso.column(j) for j in range(k)]
     for j in range(k):
-        if iso.target.q_of(cols[j]) != _mod2(sign * q_s[j]):
+        if target.q_of(cols[j]) != sign * source.gram[j][j] % (2 * e):
             return False
     for i in range(k):
         for j in range(k):
-            if iso.target.b_of(cols[i], cols[j]) != _mod1(sign * iso.source.b[i][j]):
+            if target.b_of(cols[i], cols[j]) != sign * source.gram[i][j] % e:
                 return False
     return True
 
@@ -377,8 +363,8 @@ def _isometry_search(
     """Cyclic modules: the unit square roots in ascending order.  Otherwise
     backtracking over generator images; candidates are enumerated in
     lexicographic element order, so the first witness found is canonical."""
-    a1.require_q()
-    a2.require_q()
+    a1.require_even()
+    a2.require_even()
     results = []
     if a1.factors != a2.factors:
         return results
@@ -391,16 +377,10 @@ def _isometry_search(
     if k == 0:
         return [ModuleIsometry(a1, a2, ())]
     if k == 1:
-        # q_i = N_i / D: alpha^2 q2 = q1 mod 2Z iff alpha^2 N2 = N1 mod 2D,
-        # which is well defined mod m because D divides m
-        q1, q2 = a1.q[0], a2.q[0]
-        den = lcm(q1.denominator, q2.denominator)
-        roots = unit_square_roots(
-            q2.numerator * (den // q2.denominator),
-            q1.numerator * (den // q1.denominator),
-            a1.factors[0],
-            2 * den,
-        )
+        # q_i = g_i / f: alpha^2 q2 = q1 mod 2Z iff alpha^2 g2 = g1 mod 2f,
+        # which is well defined mod f because f g_i is even
+        f = a1.factors[0]
+        roots = unit_square_roots(a2.gram[0][0], a1.gram[0][0], f, 2 * f)
         if not find_all:
             roots = roots[:1]
         return [ModuleIsometry(a1, a2, ((alpha,),)) for alpha in roots]
@@ -416,9 +396,9 @@ def _isometry_search(
                 results.append(iso)
                 return not find_all
             return False
-        for cand in buckets.get((a1.factors[i], a1.q[i]), ()):
+        for cand in buckets.get((a1.factors[i], a1.gram[i][i]), ()):
             if all(
-                a2.b_of(cand, chosen[j]) == a1.b[i][j] for j in range(i)
+                a2.b_of(cand, chosen[j]) == a1.gram[i][j] for j in range(i)
             ):
                 chosen.append(cand)
                 if extend(i + 1):
@@ -478,7 +458,7 @@ def gamma_complement_map(
     pairing_v = mat_mul(v.basis, ambient.gram)  # rank(V) x n, row i = b(v_i, -)
     pairing_w = mat_mul(w.basis, ambient.gram)
     cols = []
-    for col, f in zip(dv._columns, dv.module.factors):
+    for col, f in zip(dv.module.generators, dv.module.factors):
         # the functional G.(col / f) of a generator; exact, as col / f is dual
         functional = tuple(x // f for x in mat_vec(dv.lattice.gram, col))
         lift = solve_integer(pairing_v, functional)

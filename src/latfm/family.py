@@ -10,7 +10,6 @@ pairwise non-isometric lattices in one genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .arith import least_prime_above, unit_square_roots
@@ -48,11 +47,7 @@ def family_gram(d: int, n: int):
 def closed_form_module(d: int, n: int) -> FiniteQuadraticModule:
     """Cyclic module of order n^2 with generator (n e - 2d f)/n^2 and
     q(generator) = -2d/n^2 mod 2Z."""
-    return cyclic_module(
-        n * n,
-        Fraction(-2 * d, n * n),
-        generator=(Fraction(1, n), Fraction(-2 * d, n * n)),
-    )
+    return cyclic_module(n * n, -2 * d, generator=(n, -2 * d))
 
 
 @dataclass(frozen=True)
@@ -91,8 +86,8 @@ def make_member(d: int, n: int) -> FamilyMember:
     if not closed.is_trivial:
         # the closed-form generator maps to a unit of equal q: that map is
         # an isometry of the two cyclic modules
-        image = disc.coords(closed.generators[0])
-        if gcd(image[0], n) != 1 or machinery.q_of(image) != closed.q[0]:
+        image = disc.coords(closed.generators[0], n * n)
+        if gcd(image[0], n) != 1 or machinery.q_of(image) != closed.q_of((1,)):
             raise LatfmError("closed-form module is not isometric to the SNF output")
     return FamilyMember(d=d, n=n, lattice=lattice, embedding=embedding, module=closed)
 

@@ -1,7 +1,8 @@
-"""Exact linear algebra over Z and Q on plain tuples.
+"""Exact linear algebra over Z on plain tuples.
 
 Matrices are tuples of row tuples, vectors are tuples.  Entries are Python
-ints (arbitrary precision) or Fractions; nothing here ever touches a float.
+ints (arbitrary precision); only rational_solve returns Fractions, and
+nothing here ever touches a float.
 """
 
 from __future__ import annotations

@@ -262,9 +262,7 @@ class IsotropicQuotient:
         return mat_vec(self._projection, coords)
 
 
-def isotropic_quotient(
-    v_perp: SublatticeEmbedding, v: Vec, completion=complete_primitive_vector
-) -> IsotropicQuotient:
+def isotropic_quotient(v_perp: SublatticeEmbedding, v: Vec) -> IsotropicQuotient:
     ambient = v_perp.ambient
     if ambient.square(v) != 0:
         raise NotIsotropicError("vector has nonzero square")
@@ -281,7 +279,7 @@ def isotropic_quotient(
         raise LatfmError("v does not lie in the sublattice")
     if not is_primitive_vector(coords):
         raise NotPrimitiveError("v is not primitive inside the sublattice")
-    w = completion(coords)
+    w = complete_primitive_vector(coords)
     lifted = transpose(mat_mul(v_perp.matrix, w))[1:]
     gram = mat_mul(lifted, mat_mul(ambient.gram, transpose(lifted)))
     return IsotropicQuotient(

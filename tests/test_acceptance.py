@@ -200,9 +200,11 @@ def test_criterion_9_gamma_anti_isometry():
             h = (1, d) + (0,) * 20
             iso = gamma_complement_map(K3, SublatticeEmbedding(K3, (h,)))
             assert verify_anti_isometry(iso)
-            for j, q in enumerate(iso.source.require_q()):
+            e = iso.source.exponent
+            for j in range(iso.source.ell):
+                q = iso.source.gram[j][j]
                 image = iso.column(j)
-                assert iso.target.q_of(image) == (-q) % 2
+                assert iso.target.q_of(image) == (-q) % (2 * e)
         for d in range(1, 5):
             for n in (3, 5, 7):
                 if gcd(2 * d, n) != 1:
@@ -210,5 +212,7 @@ def test_criterion_9_gamma_anti_isometry():
                 member = make_member(d, n)
                 iso = gamma_complement_map(UU, member.embedding)
                 assert verify_anti_isometry(iso)
-                for j, q in enumerate(iso.source.require_q()):
-                    assert iso.target.q_of(iso.column(j)) == (-q) % 2
+                e = iso.source.exponent
+                for j in range(iso.source.ell):
+                    q = iso.source.gram[j][j]
+                    assert iso.target.q_of(iso.column(j)) == (-q) % (2 * e)

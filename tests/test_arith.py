@@ -60,7 +60,8 @@ def cyclic_q_values(m):
 def test_cyclic_search_matches_the_scan_on_every_small_module():
     for m in range(2, 33):
         qs = cyclic_q_values(m)
-        modules = {q: cyclic_module(m, q) for q in qs}
+        # q = N/m is the form matrix ((N,)) over the exponent m
+        modules = {q: cyclic_module(m, int(q * m)) for q in qs}
         for q2 in qs:
             scan = scan_cyclic_isometries(m, q2)
             for q1 in qs:

@@ -101,6 +101,28 @@ class TestDisc:
         assert code == 1
         assert "error" in err
 
+    # Integers past CPython's default int/str limit of 4300 digits.  The
+    # expected text is spelled out digit by digit: converting these ints
+    # here would hit the same limit.
+    def test_entry_of_5000_digits(self):
+        n = "9" * 5000
+        saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = invoke(["disc", "--gram", f"[[{n}]]"])
+        assert (code, err) == (0, "")
+        assert out == f"factors: [{n}]\nq: undefined (odd lattice)\nb: [['1/{n}']]\n"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == saved
+
+    def test_factor_of_5000_digits(self):
+        # coprime a = 10^2500 - 1 and b = a - 1: A = Z/ab with b = (a + b)/ab
+        a, b = "9" * 2500, "9" * 2499 + "8"
+        ab = "9" * 2499 + "7" + "0" * 2499 + "2"
+        a_plus_b = "1" + "9" * 2499 + "7"
+        code, out, err = invoke(["disc", "--gram", f"[[{a},0],[0,{b}]]"])
+        assert (code, err) == (0, "")
+        assert out == (
+            f"factors: [{ab}]\nq: undefined (odd lattice)\nb: [['{a_plus_b}/{ab}']]\n"
+        )
+
 
 class TestMukai:
     def test_classes(self):
@@ -300,6 +322,20 @@ PINNED_STDOUT = {
     # d = 999999937 is prime
     ("mukai", "--degree", "1999999874", "--shadow", "--json"):
         "c54554339a52b2b2336638b4960878480578abd95b6f9b98d20e4c439a4593e3",
+    # recorded with Fraction-valued module forms: a multi-generator b table,
+    # an odd module and trivial modules
+    ("disc", "--gram", "[[4,2,0],[2,6,0],[0,0,12]]"):
+        "4b8af458662e41be509516c021831562b5afa85eb329fc11b7e02878520424b0",
+    ("disc", "--gram", "[[4,2,0],[2,6,0],[0,0,12]]", "--json"):
+        "b272f072140fad82a37ddf2409ee8fdb51c168b208e946c0794a00e5a64056cf",
+    ("disc", "--gram", "[[-8,-8],[-8,-6]]"):
+        "f61ae0dade250567ccdd226d916d0d4773ef5337f076dd217d7f500811c6f7f1",
+    ("disc", "--gram", "[[3,1],[1,3]]"):
+        "334798486ce0e665f03852f0daae37f6dc8e26d5ed790cab772da1ae55c5ce96",
+    ("disc", "--gram", "[[2,0],[0,2]]"):
+        "ec73919f064cac68059dd6d37fb04d9d7cecde9411f3c6f584929c6b59a2f812",
+    ("disc", "--gram", "[[0,1],[1,0]]"):
+        "d529ba9054e668dc3d65d02146431881708d1a70dd3803bd5aac4c1162df2cb1",
 }
 
 

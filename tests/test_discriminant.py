@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -67,7 +67,9 @@ class TestDiscriminantModule:
         for d in (1, 2, 3, 6):
             module = discriminant_module(make_lattice([[2 * d]]))
             assert module.factors == (2 * d,)
-            assert module.generators == ((Fraction(1, 2 * d),),)
+            # generator (1) / 2d, q = 1 / 2d
+            assert module.generators == ((1,),)
+            assert module.gram == ((1,),)
             assert module.q == (Fraction(1, 2 * d),)
 
     def test_unimodular_is_trivial(self):
@@ -100,7 +102,10 @@ class TestDiscriminantModule:
                     make_lattice([[6, 0], [0, 10]])]:
             disc = LatticeDiscriminant(lat)
             module = disc.module
-            gens = module.generators
+            gens = [
+                tuple(Fraction(x, f) for x in col)
+                for col, f in zip(module.generators, module.factors)
+            ]
             k = len(gens)
             for i in range(k):
                 for j in range(k):
@@ -114,14 +119,41 @@ class TestDiscriminantModule:
                     gv = [sum(lat.gram[r][c] * vec[c] for c in range(lat.rank))
                           for r in range(lat.rank)]
                     direct = sum(x * y for x, y in zip(vec, gv)) % 2
-                    assert module.q_of(coords) == direct
+                    assert Fraction(module.q_of(coords), module.exponent) == direct
 
     def test_consistency_validation(self):
-        with pytest.raises(LatfmError):
+        with pytest.raises(LatfmError, match="divisibility chain"):
             FiniteQuadraticModule(
-                factors=(4, 2), generators=(), q=(Fraction(1, 4), Fraction(1, 2)),
-                b=((Fraction(1, 4), 0), (0, Fraction(1, 2))),
+                factors=(4, 2), generators=(), gram=((1, 0), (0, 2)),
             )  # 2 does not divide into 4 in chain order
+
+    def test_rejects_a_form_matrix_of_the_wrong_shape(self):
+        with pytest.raises(LatfmError, match="wrong shape"):
+            FiniteQuadraticModule(factors=(2, 4), generators=(), gram=((1,),))
+        with pytest.raises(LatfmError, match="wrong shape"):
+            FiniteQuadraticModule(factors=(2, 4), generators=(), gram=((0, 2), (2,)))
+
+    def test_rejects_an_asymmetric_form_matrix(self):
+        with pytest.raises(LatfmError, match="not symmetric"):
+            FiniteQuadraticModule(factors=(2, 4), generators=(), gram=((2, 2), (0, 1)))
+        # entries are compared mod e = 4: 6 and 2 are the same value
+        module = FiniteQuadraticModule(
+            factors=(2, 4), generators=(), gram=((2, 6), (2, 1)), even=False
+        )
+        assert module.gram == ((2, 2), (2, 1))
+
+    def test_rejects_b_incompatible_with_a_generator_order(self):
+        # b(g_1, g_2) = 1/4 on a generator of order 2
+        with pytest.raises(LatfmError, match="b value incompatible"):
+            FiniteQuadraticModule(factors=(2, 4), generators=(), gram=((0, 1), (1, 1)))
+
+    def test_rejects_q_incompatible_with_a_generator_order(self):
+        # q(g) = 1/3 is not a value of an element of order 3 (9 q = 3 mod 2Z);
+        # b(g, g) = 1/3 alone is, on the discriminant of the odd lattice [[3]]
+        with pytest.raises(LatfmError, match="q value incompatible"):
+            FiniteQuadraticModule(factors=(3,), generators=(), gram=((1,),))
+        odd = FiniteQuadraticModule(factors=(3,), generators=(), gram=((1,),), even=False)
+        assert odd.b == discriminant_module(make_lattice([[3]])).b
 
 
 class TestIsometrySearch:
@@ -256,7 +288,7 @@ class TestGamma:
             assert iso.source.factors == (2 * d,)
             # complement module carries q = -1/(2d) on some generator: it must
             # be isometric to the sign-flipped rank-one module
-            flipped = cyclic_module(2 * d, Fraction(-1, 2 * d))
+            flipped = cyclic_module(2 * d, -1)
             assert is_isometric_modules(iso.target, flipped) is not None
 
     def test_family_complement(self):
@@ -264,7 +296,7 @@ class TestGamma:
             emb = SublatticeEmbedding(UU, ((1, d, 0, 0), (0, n, 1, 0)))
             iso = gamma_complement_map(UU, emb)
             assert verify_anti_isometry(iso)
-            positive = cyclic_module(n * n, Fraction(2 * d, n * n))
+            positive = cyclic_module(n * n, 2 * d)
             assert is_isometric_modules(iso.target, positive) is not None
 
     def test_trivial_sublattice(self):
@@ -323,7 +355,7 @@ def bfs_generates(module, elems):
 def test_generates_matches_subgroup_search(factors):
     k = len(factors)
     module = FiniteQuadraticModule(
-        factors=factors, generators=(), q=None, b=((0,) * k,) * k
+        factors=factors, generators=(), gram=((0,) * k,) * k, even=False
     )
     elements = list(module.elements())
     outcomes = set()
@@ -370,7 +402,8 @@ def test_compose_matches_the_column_formula():
 
 class FractionLatticeDiscriminant:
     """LatticeDiscriminant as it was before it computed on integers:
-    Fraction generators, b and q by a Fraction mat-vec, coords on G.y."""
+    Fraction generators, b and q by a Fraction mat-vec, coords on G.y, and
+    the isometry action as a bare matrix."""
 
     def __init__(self, lattice):
         self.lattice = lattice
@@ -388,9 +421,8 @@ class FractionLatticeDiscriminant:
         self._umat = u
         self._diag = diag
         self._positions = positions
-        self.module = FiniteQuadraticModule(
-            factors=tuple(diag[i] for i in positions), generators=gens, q=q, b=bmat
-        )
+        self.factors = tuple(diag[i] for i in positions)
+        self.generators, self.q, self.b = gens, q, bmat
 
     def _pair(self, x, y):
         gy = mat_vec(self.lattice.gram, y)
@@ -407,10 +439,9 @@ class FractionLatticeDiscriminant:
         return tuple(c[p] % self._diag[p] for p in self._positions)
 
     def isometry_action(self, matrix):
-        cols = [self.coords(mat_vec(matrix, g)) for g in self.module.generators]
+        cols = [self.coords(mat_vec(matrix, g)) for g in self.generators]
         k = len(cols)
-        mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-        return ModuleIsometry(self.module, self.module, mat)
+        return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
 def outcome(fn, *args):
@@ -448,11 +479,16 @@ def test_integer_discriminant_matches_the_fraction_one():
     assert any(not lat.is_even for lat in lattices)
     for lat in lattices:
         old, new = FractionLatticeDiscriminant(lat), LatticeDiscriminant(lat)
-        assert new.module == old.module, lat.gram
+        module = new.module
+        assert module.factors == old.factors, lat.gram
+        assert module.generators == tuple(
+            tuple(x * f for x in g) for g, f in zip(old.generators, old.factors)
+        ), lat.gram
+        assert (module.q, module.b) == (old.q, old.b), lat.gram
         if lat.is_even:
-            assert new.module.q is not None
+            assert module.q is not None
         n = lat.rank
-        gens = old.module.generators
+        gens = old.generators
         # dual vectors: combinations of the generators plus a lattice vector;
         # the last one is off the dual lattice unless the module is trivial
         vectors = [
@@ -462,16 +498,22 @@ def test_integer_discriminant_matches_the_fraction_one():
                 for r in range(n)
             )
             for coeffs in (
-                [rng.randint(-2 * f, 2 * f) for f in old.module.factors]
+                [rng.randint(-2 * f, 2 * f) for f in old.factors]
                 for _ in range(4)
             )
         ]
         vectors.append((Fraction(1, 2 * abs(lat.det) + 1),) + (0,) * (n - 1))
         for vec in vectors:
-            assert outcome(new.coords, vec) == outcome(old.coords, vec), lat.gram
+            denominator = lcm(*(x.denominator for x in map(Fraction, vec)))
+            numerator = tuple(int(x * denominator) for x in vec)
+            assert outcome(new.coords, numerator, denominator) == outcome(
+                old.coords, vec
+            ), lat.gram
         isometries = [identity(n), tuple(tuple(-x for x in row) for row in identity(n))]
         if n <= 2:
             budget = SearchBudget(entry_bound=3, node_limit=10**5)
             isometries += [w.matrix for w in enumerate_self_isometries(lat, budget)]
         for mat in isometries:
-            assert new.isometry_action(mat) == old.isometry_action(mat), (lat.gram, mat)
+            action = new.isometry_action(mat)
+            assert action.source == action.target == module
+            assert action.matrix == old.isometry_action(mat), (lat.gram, mat)

@@ -70,9 +70,12 @@ class TestMakeMember:
     @pytest.mark.parametrize(
         "qval,generator",
         [
-            (Fraction(2, 9), (Fraction(1, 3), Fraction(-2, 9))),  # q sign flipped
-            (Fraction(0), (Fraction(1), Fraction(-2, 3))),  # 3 g: q = 0, no unit
+            # q and generator over 9: q sign flipped, generator (1/3, -2/9)
+            (2, (3, -2)),
+            # 3 g = (1, -2/3): q = 0, no unit
+            (0, (9, -6)),
         ],
+        ids=["qval0-generator0", "qval1-generator1"],
     )
     def test_closed_form_checked_through_its_generator(self, monkeypatch, qval, generator):
         # -1 is not a square mod 3, so a q of +2/9 is no isometric module;
@@ -200,7 +203,7 @@ class TestNikulin:
         # is not equivalent to it (unit squares mod 9 are {1, 4, 7})
         other = GenusData(
             signature=base.signature,
-            module=cyclic_module(9, Fraction(16, 9)),
+            module=cyclic_module(9, 16),  # 16/9
         )
         with pytest.raises(HypothesisFailedError) as excinfo:
             check_nikulin_hypotheses(base, other)
@@ -292,7 +295,7 @@ class TestComplementModuleStructure:
         assert data.module.factors == (289,)
         # gamma flips the sign of q: complement carries +2d/n^2
         assert (
-            is_isometric_modules(data.module, cyclic_module(289, Fraction(2, 289)))
+            is_isometric_modules(data.module, cyclic_module(289, 2))
             is not None
         )
 

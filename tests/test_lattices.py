@@ -11,7 +11,7 @@ from latfm.errors import (
     NotSymmetricError,
     ZeroScaleError,
 )
-from latfm.intmat import complete_primitive_vector_gcd, det, rank
+from latfm.intmat import det, rank
 from latfm.lattices import (
     E8,
     E8_MINUS,
@@ -242,15 +242,6 @@ class TestIsotropicQuotient:
         small = SublatticeEmbedding(UU, ((1, 0, 0, 0), (0, 0, 1, 0)))
         with pytest.raises(LatfmError):
             quotient_by_isotropic(small, v)
-
-    def test_completion_strategy_invariance(self):
-        v = (1, 0, 1, 0)
-        vperp = orthogonal_complement(SublatticeEmbedding(UU, (v,)))
-        q1 = isotropic_quotient(vperp, v).lattice
-        q2 = isotropic_quotient(
-            vperp, v, completion=complete_primitive_vector_gcd
-        ).lattice
-        assert (q1.det, q1.is_even, q1.signature) == (q2.det, q2.is_even, q2.signature)
 
     def test_project_rejects_vector_outside_sublattice(self):
         v = (1, 0, 0, 0)

@@ -192,24 +192,6 @@ class TestModuliShadow:
         with pytest.raises(NotIsotropicError):
             moduli_lattice_shadow(MukaiVector(0, 1, 0, 1))  # (0, h, 0), square 2
 
-    def test_completion_strategy_invariance(self):
-        from latfm.intmat import complete_primitive_vector_gcd
-        from latfm.lattices import (
-            SublatticeEmbedding as Emb,
-            isotropic_quotient,
-            orthogonal_complement as perp,
-        )
-        from latfm.mukai import MUKAI
-
-        emb = embed_polarized(6)
-        v24 = emb.embed(enumerate_mukai_vectors(6)[1])  # (2, h, 3)
-        vperp = perp(Emb(MUKAI, (v24,)))
-        q1 = isotropic_quotient(vperp, v24).lattice
-        q2 = isotropic_quotient(
-            vperp, v24, completion=complete_primitive_vector_gcd
-        ).lattice
-        assert (q1.det, q1.is_even, q1.signature) == (q2.det, q2.is_even, q2.signature)
-
     def test_congruence_of_pairings(self):
         # every class (a, b, c) in v-perp pairs with (0, h, 2s) like -b.h mod r
         for d in (6, 10):

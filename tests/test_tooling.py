@@ -1,7 +1,9 @@
 """The per-layer tracer of the benchmark (perfbench/spans.py) names only
 bindings that exist, so renaming a traced helper fails here and not only in
-a traced benchmark run."""
+a traced benchmark run.  The computing code stays on integers: Fraction is
+left to presentation and to the traced intmat.rational_solve."""
 
+import ast
 import importlib
 import importlib.util
 import io
@@ -13,6 +15,7 @@ import latfm.fmcount
 import latfm.mukai
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(latfm.cli.__file__).resolve().parent
 
 
 def load_spans():
@@ -136,3 +139,34 @@ def test_every_lattice_runs_one_elimination():
         assert metrics["lattices.lattice_init.calls"] > 0, argv
         assert (metrics["lattices.signature.calls"]
                 == metrics["lattices.lattice_init.calls"]), argv
+
+
+def test_fractions_are_left_to_presentation():
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "fractions" in names:
+                importers.add(path.name)
+    assert importers == {"discriminant.py", "intmat.py"}
+    # in discriminant.py only the printed forms q and b name Fraction
+    tree = ast.parse((SRC / "discriminant.py").read_text())
+
+    def uses(root):
+        return {
+            node for node in ast.walk(root)
+            if isinstance(node, ast.Name) and node.id == "Fraction"
+        }
+
+    printed = [
+        func for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in ("q", "b")
+    ]
+    assert len(printed) == 2
+    assert uses(tree) == set().union(*map(uses, printed))
