@@ -283,12 +283,7 @@ def _cmd_orbits(args, out) -> int:
 def _cmd_selftest(args, out) -> int:
     if args.range_d < 1:
         raise UsageError(f"--range-d must be a positive integer, got {args.range_d}")
-    cfg = SelftestConfig(
-        d_max=args.range_d,
-        shadow_d_max=min(args.range_d, 30),
-        closed_form_max=min(args.range_d, 30),
-    )
-    results = run_selftest(cfg)
+    results = run_selftest(SelftestConfig(d_max=args.range_d))
     failed = 0
     for result in results:
         if result.passed:

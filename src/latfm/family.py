@@ -22,7 +22,7 @@ from .discriminant import (
 )
 from .errors import HypothesisFailedError, LatfmError, NotCoprimeError
 from .fmcount import prime_power_blocks
-from .intmat import Vec
+from .intmat import Vec, mat_vec, vec_dot
 from .lattices import (
     K3,
     Lattice,
@@ -31,7 +31,7 @@ from .lattices import (
     U,
     direct_sum,
     is_primitive,
-    orthogonal_complement,
+    rescale,
 )
 
 UU = direct_sum(U, U)
@@ -56,7 +56,7 @@ class FamilyMember:
     n: int
     lattice: Lattice
     embedding: SublatticeEmbedding  # into U + U
-    module: FiniteQuadraticModule  # closed form, cross-checked at construction
+    module: FiniteQuadraticModule  # closed form, checked to be A_L at construction
 
     @property
     def represents_zero_vector(self) -> Vec:
@@ -79,16 +79,20 @@ def make_member(d: int, n: int) -> FamilyMember:
         UU, ((1, d, 0, 0), (0, n, 1, 0))
     )
     closed = closed_form_module(d, n)
-    disc = LatticeDiscriminant(lattice)
-    machinery = disc.module
-    if machinery.factors != closed.factors:
-        raise LatfmError("closed-form module disagrees with the SNF machinery")
+    order = abs(lattice.det)
+    if closed.factors != ((order,) if order > 1 else ()):
+        raise LatfmError("closed-form module disagrees with |det L|")
     if not closed.is_trivial:
-        # the closed-form generator maps to a unit of equal q: that map is
-        # an isometry of the two cyclic modules
-        image = disc.coords(closed.generators[0], n * n)
-        if gcd(image[0], n) != 1 or machinery.q_of(image) != closed.q_of((1,)):
-            raise LatfmError("closed-form module is not isometric to the SNF output")
+        # g/N lies in L*, has order N = |A_L| and the closed form's q: it
+        # generates A_L, so generator -> g/N is an isometry of the modules
+        (f,), (g,), ((q,),) = closed.factors, closed.generators, closed.gram
+        image = mat_vec(lattice.gram, g)
+        if (
+            any(x % f for x in image)
+            or gcd(*g, f) != 1
+            or (vec_dot(g, image) - q * f) % (2 * f * f)
+        ):
+            raise LatfmError("closed-form module is not isometric to A_L")
     return FamilyMember(d=d, n=n, lattice=lattice, embedding=embedding, module=closed)
 
 
@@ -188,9 +192,7 @@ class NikulinAttestation:
     disc_iso: ModuleIsometry
 
 
-def check_nikulin_hypotheses(
-    t1: GenusData, t2: GenusData, order_bound: int = 10**6
-) -> NikulinAttestation:
+def check_nikulin_hypotheses(t1: GenusData, t2: GenusData) -> NikulinAttestation:
     """Verify: equal indefinite signatures, rank >= 2 + ell(A), and isometric
     discriminant modules.  Raises HypothesisFailedError naming the first
     hypothesis that fails."""
@@ -207,7 +209,7 @@ def check_nikulin_hypotheses(
         raise HypothesisFailedError(
             "rank", f"rank {t1.rank} < 2 + ell(A) = {2 + ell}"
         )
-    iso = is_isometric_modules(t1.module, t2.module, order_bound=order_bound)
+    iso = is_isometric_modules(t1.module, t2.module)
     if iso is None:
         raise HypothesisFailedError(
             "discriminant", "discriminant modules are not isometric"
@@ -235,9 +237,10 @@ def complement_genus_data(member: FamilyMember, ambient: str) -> GenusData:
     The ambient is (U+U) + W with W unimodular (U + E8(-1)^2 for k3, U for
     abelian) and the member lies in U+U, so its complement is K + W with K
     its rank-2 complement in U+U.  W adds nothing to the discriminant
-    module, A(K + W) = A(K), and the signatures add.  The module's
-    generators are in the coordinates of K's basis."""
-    block = orthogonal_complement(member.embedding).lattice()
+    module, A(K + W) = A(K), and the signatures add.  K is L_{d,n}(-1): the
+    canonical basis (1, -d, 0, -n), (0, 0, 1, 0) of K has Gram -G.  The
+    module's generators are in the coordinates of that basis."""
+    block = rescale(member.lattice, -1)
     # sig W = sig(ambient) - sig(U+U), from signatures cached per process
     whole, head, own = AMBIENTS[ambient].signature, UU.signature, block.signature
     return GenusData(

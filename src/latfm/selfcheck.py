@@ -45,17 +45,17 @@ from .lattices import (
 from .mukai import MUKAI, enumerate_mukai_vectors, moduli_lattice_shadow
 from .oracle import find_isometry_bounded, units_with_square_one
 
-# the rank-2 grid (d1, d2 <= GRID_D_MAX, n in GRID_PRIMES) and the family size
+# the rank-2 grid (d1, d2 <= GRID_D_MAX, n in GRID_PRIMES), the family size,
+# and the cap on d (and n) of the closed-form and moduli-shadow checks
 GRID_D_MAX = 6
 GRID_PRIMES = (3, 5, 7)
 FAMILY_COUNT = 3
+SLOW_D_MAX = 30
 
 
 @dataclass(frozen=True)
 class SelftestConfig:
     d_max: int = 200
-    shadow_d_max: int = 30
-    closed_form_max: int = 30
     # test hook: replace a builtin to watch the suite catch the corruption
     lattice_overrides: tuple[tuple[str, Lattice], ...] = ()
 
@@ -171,7 +171,7 @@ def check_discriminant_order(cfg: SelftestConfig):
 
 
 def check_closed_form_vs_machinery(cfg: SelftestConfig):
-    top = cfg.closed_form_max
+    top = min(cfg.d_max, SLOW_D_MAX)
     for d in range(1, top + 1):
         for n in range(1, top + 1):
             if gcd(2 * d, n) != 1:
@@ -253,7 +253,7 @@ def check_mukai_vectors(cfg: SelftestConfig):
 
 
 def check_moduli_shadows(cfg: SelftestConfig):
-    for d in range(1, cfg.shadow_d_max + 1):
+    for d in range(1, min(cfg.d_max, SLOW_D_MAX) + 1):
         for v in enumerate_mukai_vectors(d):
             shadow = moduli_lattice_shadow(v)
             q = shadow.quotient

@@ -439,10 +439,7 @@ class TestSelftest:
     def test_corrupted_builtin_is_reported(self):
         # replace U by an odd unimodular lattice: the builtin invariants fail
         bad = Lattice(((1, 0), (0, -1)))
-        cfg = SelftestConfig(
-            d_max=5, shadow_d_max=2, closed_form_max=5,
-            lattice_overrides=(("U", bad),),
-        )
+        cfg = SelftestConfig(d_max=5, lattice_overrides=(("U", bad),))
         results = run_selftest(cfg)
         by_name = {r.name: r for r in results}
         assert not by_name["builtin-lattice-invariants"].passed

@@ -32,7 +32,13 @@ from latfm.family import (
     polarization_orbits_in_u,
 )
 from latfm.fmcount import fm_count_rho1
-from latfm.lattices import Signature, is_primitive, make_lattice, orthogonal_complement
+from latfm.lattices import (
+    Signature,
+    is_primitive,
+    make_lattice,
+    orthogonal_complement,
+    rescale,
+)
 
 
 class TestMakeMember:
@@ -62,10 +68,11 @@ class TestMakeMember:
             for n in range(1, 13):
                 if gcd(2 * d, n) != 1:
                     continue
-                member = make_member(d, n)  # cross-checks internally
+                member = make_member(d, n)  # checks its generator internally
                 assert member.lattice.det == -n * n
                 machinery = discriminant_module(member.lattice)
                 assert machinery.factors == member.module.factors
+                assert is_isometric_modules(member.module, machinery) is not None
 
     @pytest.mark.parametrize(
         "qval,generator",
@@ -74,8 +81,11 @@ class TestMakeMember:
             (2, (3, -2)),
             # 3 g = (1, -2/3): q = 0, no unit
             (0, (9, -6)),
+            # g = (3, 2) has the gcd and a q of 6/9, but G g = (12, 9) is
+            # not 0 mod 9: g/9 is no dual vector
+            (6, (3, 2)),
         ],
-        ids=["qval0-generator0", "qval1-generator1"],
+        ids=["qval0-generator0", "qval1-generator1", "qval2-generator2"],
     )
     def test_closed_form_checked_through_its_generator(self, monkeypatch, qval, generator):
         # -1 is not a square mod 3, so a q of +2/9 is no isometric module;
@@ -83,6 +93,13 @@ class TestMakeMember:
         wrong = cyclic_module(9, qval, generator=generator)
         monkeypatch.setattr(family, "closed_form_module", lambda d, n: wrong)
         with pytest.raises(LatfmError, match="^closed-form module is not isometric"):
+            make_member(1, 3)
+
+    def test_closed_form_order_checked_against_the_determinant(self, monkeypatch):
+        # L_(1,3) has |det| 9; a cyclic module of order 25 cannot be A_L
+        wrong = cyclic_module(25, -2, generator=(5, -2))
+        monkeypatch.setattr(family, "closed_form_module", lambda d, n: wrong)
+        with pytest.raises(LatfmError, match="^closed-form module disagrees"):
             make_member(1, 3)
 
 
@@ -319,6 +336,10 @@ class TestComplementBySplitting:
         checked = 0
         for count, d in SPLIT_GRID:
             for member in build_family(count, d, ambient).members:
+                # the complement in U+U is L_{d,n}(-1) in its HNF basis
+                block = orthogonal_complement(member.embedding)
+                assert block.basis == ((1, -member.d, 0, -member.n), (0, 0, 1, 0))
+                assert block.induced_gram == rescale(member.lattice, -1).gram
                 data = complement_genus_data(member, ambient)
                 signature, module = _complement_in_the_ambient(member, ambient)
                 assert data.signature == signature

@@ -95,20 +95,27 @@ def test_double_cosets_compose_matrices_not_module_isometries():
 
 def test_family_searches_modules_only_for_its_attestations():
     # three members: three pairs to attest; each member's closed form is
-    # checked against the SNF module without a search
-    argv = ["family", "--count", "3", "--degree", "2", "--json"]
-    plain = io.StringIO()
-    assert latfm.cli.run(argv, plain, io.StringIO()) == 0
-    tracer = load_spans().Tracer().install()
-    try:
-        traced = io.StringIO()
-        code = latfm.cli.run(argv, traced, io.StringIO())
-    finally:
-        tracer.uninstall()
-    assert code == 0 and traced.getvalue() == plain.getvalue()
-    metrics = tracer.metrics()
-    assert metrics["discriminant.module_search.cyclic.calls"] == 3
-    assert metrics["discriminant.module_search.generic.calls"] == 0
+    # checked through its generator and each complement is L_{d,n}(-1), so
+    # a member costs one SNF for its complement's module and one for the
+    # primitivity of its embedding
+    for ambient in ("k3", "abelian"):
+        argv = ["family", "--count", "3", "--degree", "2", "--ambient", ambient, "--json"]
+        plain = io.StringIO()
+        assert latfm.cli.run(argv, plain, io.StringIO()) == 0
+        tracer = load_spans().Tracer().install()
+        try:
+            traced = io.StringIO()
+            code = latfm.cli.run(argv, traced, io.StringIO())
+        finally:
+            tracer.uninstall()
+        assert code == 0 and traced.getvalue() == plain.getvalue()
+        metrics = tracer.metrics()
+        assert metrics["discriminant.module_search.cyclic.calls"] == 3
+        assert metrics["discriminant.module_search.generic.calls"] == 0
+        assert metrics["intmat.snf.calls"] == 6
+        assert metrics["intmat.hnf.calls"] == 0
+        assert metrics["lattices.orthogonal_complement.calls"] == 0
+        assert metrics["discriminant.lattice_discriminant.calls"] == 3
 
 
 def test_genus_sum_closes_the_image_through_generators():
