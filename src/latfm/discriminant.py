@@ -357,7 +357,6 @@ def _element_buckets(module: FiniteQuadraticModule):
 def _isometry_search(
     a1: FiniteQuadraticModule,
     a2: FiniteQuadraticModule,
-    order_bound: int,
     find_all: bool,
 ):
     """Cyclic modules: the unit square roots in ascending order.  Otherwise
@@ -370,9 +369,9 @@ def _isometry_search(
         return results
     k = a1.ell
     # the cyclic case solves for square roots and never lists the group
-    if k > 1 and a1.order > order_bound:
+    if k > 1 and a1.order > DEFAULT_ORDER_BOUND:
         raise SearchSpaceTooLargeError(
-            f"module order {a1.order} exceeds bound {order_bound}"
+            f"module order {a1.order} exceeds bound {DEFAULT_ORDER_BOUND}"
         )
     if k == 0:
         return [ModuleIsometry(a1, a2, ())]
@@ -411,25 +410,21 @@ def _isometry_search(
 
 
 def is_isometric_modules(
-    a1: FiniteQuadraticModule,
-    a2: FiniteQuadraticModule,
-    order_bound: int = DEFAULT_ORDER_BOUND,
+    a1: FiniteQuadraticModule, a2: FiniteQuadraticModule
 ) -> ModuleIsometry | None:
     """Explicit isometry between finite quadratic modules, or None.
 
     Cyclic modules go through modular square roots (the least root is the
     witness); the generic case is an exhaustive search over generator images
-    with pruning on (order, q) and b, refused above order_bound.
+    with pruning on (order, q) and b, refused above DEFAULT_ORDER_BOUND.
     """
-    found = _isometry_search(a1, a2, order_bound, find_all=False)
+    found = _isometry_search(a1, a2, find_all=False)
     return found[0] if found else None
 
 
-def orthogonal_group_of_module(
-    module: FiniteQuadraticModule, order_bound: int = DEFAULT_ORDER_BOUND
-) -> tuple[ModuleIsometry, ...]:
+def orthogonal_group_of_module(module: FiniteQuadraticModule) -> tuple[ModuleIsometry, ...]:
     """All q-preserving automorphisms, sorted by matrix."""
-    group = _isometry_search(module, module, order_bound, find_all=True)
+    group = _isometry_search(module, module, find_all=True)
     return tuple(sorted(group, key=lambda iso: iso.matrix))
 
 

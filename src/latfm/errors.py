@@ -35,7 +35,7 @@ class NotUnimodularError(LatfmError):
 
 
 class SearchSpaceTooLargeError(LatfmError):
-    """Finite module exceeds the configured order bound for exhaustive search."""
+    """Finite module exceeds the fixed order bound for exhaustive search."""
 
 
 class BudgetExhaustedError(LatfmError):

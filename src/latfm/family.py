@@ -21,7 +21,7 @@ from .discriminant import (
     is_isometric_modules,
 )
 from .errors import HypothesisFailedError, LatfmError, NotCoprimeError
-from .fmcount import prime_power_blocks
+from .fmcount import unitary_divisors
 from .intmat import Vec, mat_vec, vec_dot
 from .lattices import (
     K3,
@@ -30,7 +30,6 @@ from .lattices import (
     SublatticeEmbedding,
     U,
     direct_sum,
-    is_primitive,
     rescale,
 )
 
@@ -289,9 +288,9 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
                 raise LatfmError("family construction lost its certificate")
             certificates.append(conditions.certificate)
             attestations.append(check_nikulin_hypotheses(profiles[i], profiles[j]))
+    # no primitivity check: the basis (1, d, 0, 0), (0, n, 1, 0) has the
+    # identity as its minor on coordinates 0 and 2, so U+U / span is free
     for member in members:
-        if not is_primitive(member.embedding):
-            raise LatfmError("family member embedding is not primitive")
         if member.lattice.square(member.represents_zero_vector) != 0:
             raise LatfmError("family member does not represent zero")
     if members[0].polarization_square != 2 * d:
@@ -327,27 +326,17 @@ def polarization_orbits_in_u(d: int) -> OrbitReport:
     its four-element orthogonal group; the orbit count is 2^(p(d)-1)."""
     if d < 1:
         raise LatfmError("d must be positive")
-    blocks = prime_power_blocks(d)
-    m = len(blocks)
     vectors = set()
-    for mask in range(1 << m):
-        a = 1
-        for i in range(m):
-            if mask >> i & 1:
-                a *= blocks[i]
-        b = d // a
-        vectors.add((a, b))
-        vectors.add((-a, -b))
+    for a in unitary_divisors(d):
+        vectors |= {(a, d // a), (-a, -(d // a))}
     orbits: dict[tuple[int, int], set] = {}
     for vec in vectors:
         orbit = {
             (g[0][0] * vec[0] + g[0][1] * vec[1], g[1][0] * vec[0] + g[1][1] * vec[1])
             for g in _O_U
         }
-        rep = min((v for v in orbit if v[0] > 0 and v[0] <= v[1]), default=None)
-        if rep is None:
-            rep = min(orbit)
-        orbits[rep] = orbit
+        # every orbit holds (min(a, b), max(a, b)) with both entries positive
+        orbits[min(v for v in orbit if 0 < v[0] <= v[1])] = orbit
     reps = tuple(sorted(orbits))
     return OrbitReport(
         count=len(reps),

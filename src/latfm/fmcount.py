@@ -49,6 +49,15 @@ def prime_power_blocks(d: int) -> tuple[int, ...]:
     return tuple(sorted(p**e for p, e in prime_factorization(d).items()))
 
 
+def unitary_divisors(d: int) -> tuple[int, ...]:
+    """The r with r s = d and gcd(r, s) = 1, ascending: the products of the
+    subsets of prime_power_blocks(d)."""
+    divisors = [1]
+    for block in prime_power_blocks(d):
+        divisors += [r * block for r in divisors]
+    return tuple(sorted(divisors))
+
+
 def fm_count_rho1(d: int) -> int:
     """Closed-form count of Fourier-Mukai partners for Picard number 1 and
     polarization degree 2d."""

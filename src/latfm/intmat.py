@@ -300,18 +300,24 @@ def unimodular_inverse(m: Mat) -> Mat:
     return tuple(tuple(last * x for x in row[n:]) for row in a)
 
 
-def complete_primitive_vector(c: Vec) -> Mat:
-    """Unimodular W with first column c (c primitive), via the Smith transform."""
+def complete_primitive_vector(c: Vec) -> tuple[Mat, Mat]:
+    """(W, W^-1) for a unimodular W with first column c (c primitive), via
+    the Smith transform.
+
+    U c = sign e_1 with sign = V[0][0] = +-1, so W is U^-1 with its first
+    column times sign and W^-1 is U with its first row times sign.
+    """
     k = len(c)
     col = tuple((x,) for x in c)
     u, d, v = smith_normal_form(col)
     if d[0][0] != 1:
         raise ValueError("vector is not primitive")
-    w = unimodular_inverse(u)
     sign = v[0][0]
-    return tuple(
-        tuple(sign * row[0] if j == 0 else row[j] for j in range(k)) for row in w
+    w = tuple(
+        tuple(sign * row[0] if j == 0 else row[j] for j in range(k))
+        for row in unimodular_inverse(u)
     )
+    return w, (tuple(sign * x for x in u[0]),) + u[1:]
 
 
 def complete_primitive_vector_gcd(c: Vec) -> Mat:

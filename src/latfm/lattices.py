@@ -35,7 +35,6 @@ from .intmat import (
     rank as matrix_rank,
     solve_integer,  # noqa: F401  (re-exported; perfbench traces this binding)
     transpose,
-    unimodular_inverse,
 )
 
 
@@ -279,14 +278,14 @@ def isotropic_quotient(v_perp: SublatticeEmbedding, v: Vec) -> IsotropicQuotient
         raise LatfmError("v does not lie in the sublattice")
     if not is_primitive_vector(coords):
         raise NotPrimitiveError("v is not primitive inside the sublattice")
-    w = complete_primitive_vector(coords)
+    w, w_inv = complete_primitive_vector(coords)
     lifted = transpose(mat_mul(v_perp.matrix, w))[1:]
     gram = mat_mul(lifted, mat_mul(ambient.gram, transpose(lifted)))
     return IsotropicQuotient(
         lattice=Lattice(gram),
         source=v_perp,
         quotient_basis=lifted,
-        _projection=unimodular_inverse(w)[1:],
+        _projection=w_inv[1:],
         _solve=solve,
     )
 

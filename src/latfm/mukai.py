@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import LatfmError, NotIsotropicError, NotPrimitiveError
-from .fmcount import prime_power_blocks
+from .fmcount import unitary_divisors
 from .intmat import Vec, freeze, hermite_normal_form
 from .lattices import (
     K3,
@@ -76,20 +76,11 @@ class MukaiVector:
 
 
 def enumerate_mukai_vectors(d: int) -> tuple[MukaiVector, ...]:
-    """All vectors (r, h, s) with r s = d built from partitions of the
-    prime-power blocks of d; every one is isotropic and primitive."""
+    """All vectors (r, h, s) with r s = d and gcd(r, s) = 1, r ascending;
+    every one is isotropic and primitive."""
     if d < 1:
         raise LatfmError("d must be positive")
-    blocks = prime_power_blocks(d)
-    m = len(blocks)
-    rs = set()
-    for mask in range(1 << m):
-        r = 1
-        for i in range(m):
-            if mask >> i & 1:
-                r *= blocks[i]
-        rs.add(r)
-    return tuple(MukaiVector(r, 1, d // r, d) for r in sorted(rs))
+    return tuple(MukaiVector(r, 1, d // r, d) for r in unitary_divisors(d))
 
 
 def distinct_classes(vectors) -> tuple[tuple[MukaiVector, ...], ...]:

@@ -322,6 +322,11 @@ PINNED_STDOUT = {
     # d = 999999937 is prime
     ("mukai", "--degree", "1999999874", "--shadow", "--json"):
         "c54554339a52b2b2336638b4960878480578abd95b6f9b98d20e4c439a4593e3",
+    # d = 30030 = 2*3*5*7*11*13: 2^6 Mukai vectors, 2^5 U-orbits and swap classes
+    ("orbits", "--degree", "60060", "--json"):
+        "326ba300e69df59611b268e0314f3383e68c4cc950d4a9afbc574e3ebc76a596",
+    ("mukai", "--degree", "60060", "--classes", "--json"):
+        "3033725c6e081fbc3fecd18a445f5932dfb5eda337b04fd144e8e654d7d5417d",
     # recorded with Fraction-valued module forms: a multi-generator b table,
     # an odd module and trivial modules
     ("disc", "--gram", "[[4,2,0],[2,6,0],[0,0,12]]"):

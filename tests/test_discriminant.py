@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from latfm.discriminant import (
+    DEFAULT_ORDER_BOUND,
     TRIVIAL_MODULE,
     _generates,
     FiniteQuadraticModule,
@@ -216,22 +217,24 @@ class TestIsometrySearch:
         assert {g.matrix for g in group} == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
 
     def test_search_bound(self):
-        # (Z/6)^2 of order 36: the generic search lists the group, so the
-        # bound applies
-        module = discriminant_module(make_lattice([[6, 0], [0, 6]]))
-        assert module.ell == 2
+        # (Z/2018)^2 of order 4,072,324 > DEFAULT_ORDER_BOUND: the generic
+        # search lists the group, so the bound applies
+        module = discriminant_module(make_lattice([[2018, 0], [0, 2018]]))
+        assert module.ell == 2 and module.order == 2018**2 > DEFAULT_ORDER_BOUND
         with pytest.raises(SearchSpaceTooLargeError):
-            is_isometric_modules(module, module, order_bound=30)
+            is_isometric_modules(module, module)
         with pytest.raises(SearchSpaceTooLargeError):
-            orthogonal_group_of_module(module, order_bound=30)
+            orthogonal_group_of_module(module)
 
     def test_cyclic_search_ignores_the_bound(self):
-        # Z/289: square roots of units, no walk over the group
-        module = discriminant_module(make_lattice([[2, 17], [17, 0]]))
-        iso = is_isometric_modules(module, module, order_bound=100)
+        # Z/1009^2 of order 1,018,081 > DEFAULT_ORDER_BOUND: square roots of
+        # units, no walk over the group
+        module = discriminant_module(make_lattice([[2, 1009], [1009, 0]]))
+        assert module.factors == (1009**2,) and module.order > DEFAULT_ORDER_BOUND
+        iso = is_isometric_modules(module, module)
         assert iso is not None and iso.matrix == ((1,),)
-        group = orthogonal_group_of_module(module, order_bound=100)
-        assert [g.matrix for g in group] == [((1,),), ((288,),)]
+        group = orthogonal_group_of_module(module)
+        assert [g.matrix for g in group] == [((1,),), ((1009**2 - 1,),)]
 
     def test_odd_module_rejected(self):
         module = discriminant_module(make_lattice([[3]]))

@@ -17,6 +17,7 @@ from latfm.fmcount import (
     least_prime_above,
     pm_id_subgroup,
     prime_power_blocks,
+    unitary_divisors,
 )
 from latfm.lattices import U, direct_sum, make_lattice
 from latfm.oracle import SearchBudget, closure, units_with_square_one
@@ -36,6 +37,11 @@ class TestPrimeHelpers:
     )
     def test_blocks(self, d, blocks):
         assert prime_power_blocks(d) == blocks
+
+    def test_unitary_divisors_against_the_definition(self):
+        for d in range(1, 2001):
+            expected = tuple(r for r in range(1, d + 1) if d % r == 0 and gcd(r, d // r) == 1)
+            assert unitary_divisors(d) == expected, d
 
     def test_least_prime_above(self):
         assert least_prime_above(1) == 2

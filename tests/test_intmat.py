@@ -185,6 +185,18 @@ def test_unimodular_inverse():
         unimodular_inverse(((2, 0), (0, 2)))
 
 
+def shadow_cases():
+    """(v, v-perp, coordinates of v in the HNF basis of v-perp) for two
+    Mukai vectors of the moduli shadow."""
+    from latfm.lattices import SublatticeEmbedding, orthogonal_complement
+    from latfm.mukai import MUKAI, MukaiVector, embed_polarized
+
+    for r, s, d in ((2, 3, 6), (30, 1001, 30030)):
+        v24 = embed_polarized(d).embed(MukaiVector(r, 1, s, d))
+        vperp = orthogonal_complement(SublatticeEmbedding(MUKAI, (v24,)))
+        yield v24, vperp, solve_integer(vperp.matrix, v24)
+
+
 @pytest.mark.parametrize("completion", [complete_primitive_vector,
                                         complete_primitive_vector_gcd])
 def test_primitive_completion(completion):
@@ -199,12 +211,36 @@ def test_primitive_completion(completion):
             g = gcd(g, x)
         if g == 1:
             cases.append(vec)
+    cases += [coords for _, _, coords in shadow_cases()]
     for vec in cases:
-        w = completion(vec)
+        if completion is complete_primitive_vector:
+            # the Smith completion returns its inverse alongside
+            w, w_inv = completion(vec)
+            assert mat_mul(w, w_inv) == identity(len(vec))
+        else:
+            w = completion(vec)
         assert abs(det(w)) == 1
         assert tuple(row[0] for row in w) == vec
     with pytest.raises(ValueError):
         completion((2, 4))
+
+
+def test_smith_completion_follows_the_sign_of_v(monkeypatch):
+    # this SNF leaves V = (1) on a column, but U c V = e_1 with V = (-1) is
+    # an SNF too: negate V and the first row of U
+    import latfm.intmat as intmat
+
+    snf = intmat.smith_normal_form
+
+    def flipped(m):
+        u, d, v = snf(m)
+        return ((tuple(-x for x in u[0]),) + u[1:], d, ((-v[0][0],),))
+
+    monkeypatch.setattr(intmat, "smith_normal_form", flipped)
+    for vec in [(1,), (2, 3), (6, 10, 15), (0, -1, 4, 7)]:
+        w, w_inv = complete_primitive_vector(vec)
+        assert tuple(row[0] for row in w) == vec
+        assert mat_mul(w, w_inv) == identity(len(vec))
 
 
 def unimodular_matrix(rng, n, steps=12):
@@ -266,13 +302,10 @@ def test_elimination_kernel_random_grid():
 
 
 def test_elimination_kernel_on_shadow_bases():
-    from latfm.lattices import SublatticeEmbedding, isotropic_quotient, orthogonal_complement
-    from latfm.mukai import MUKAI, MukaiVector, embed_polarized
+    from latfm.lattices import isotropic_quotient
 
     rng = random.Random(1729)
-    for r, s, d in ((2, 3, 6), (30, 1001, 30030)):
-        v24 = embed_polarized(d).embed(MukaiVector(r, 1, s, d))
-        vperp = orthogonal_complement(SublatticeEmbedding(MUKAI, (v24,)))
+    for v24, vperp, coords in shadow_cases():
         quot = isotropic_quotient(vperp, v24)
         unit = (1,) + (0,) * 23  # pairs to -s with v: outside v-perp
         check_elimination_kernel(vperp.basis, tuple(rng.randint(-5, 5) for _ in range(23)))
@@ -280,5 +313,4 @@ def test_elimination_kernel_on_shadow_bases():
         check_elimination_kernel(vperp.matrix, unit)
         check_elimination_kernel(vperp.induced_gram, (0,) * 23)
         check_elimination_kernel(quot.lattice.gram, (1,) * 22)
-        coords = solve_integer(vperp.matrix, v24)
-        check_elimination_kernel(complete_primitive_vector(coords), coords)
+        check_elimination_kernel(complete_primitive_vector(coords)[0], coords)

@@ -7,11 +7,13 @@ import ast
 import importlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import latfm.arith
 import latfm.cli  # noqa: F401  (loads every latfm module)
 import latfm.fmcount
+import latfm.intmat
 import latfm.mukai
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -95,9 +97,9 @@ def test_double_cosets_compose_matrices_not_module_isometries():
 
 def test_family_searches_modules_only_for_its_attestations():
     # three members: three pairs to attest; each member's closed form is
-    # checked through its generator and each complement is L_{d,n}(-1), so
-    # a member costs one SNF for its complement's module and one for the
-    # primitivity of its embedding
+    # checked through its generator, each complement is L_{d,n}(-1) and the
+    # embedding is primitive by its basis, so a member costs one SNF, for
+    # its complement's module
     for ambient in ("k3", "abelian"):
         argv = ["family", "--count", "3", "--degree", "2", "--ambient", ambient, "--json"]
         plain = io.StringIO()
@@ -112,10 +114,32 @@ def test_family_searches_modules_only_for_its_attestations():
         metrics = tracer.metrics()
         assert metrics["discriminant.module_search.cyclic.calls"] == 3
         assert metrics["discriminant.module_search.generic.calls"] == 0
-        assert metrics["intmat.snf.calls"] == 6
+        assert metrics["intmat.snf.calls"] == 3
         assert metrics["intmat.hnf.calls"] == 0
         assert metrics["lattices.orthogonal_complement.calls"] == 0
         assert metrics["discriminant.lattice_discriminant.calls"] == 3
+
+
+def test_each_isotropic_quotient_inverts_one_matrix(monkeypatch):
+    # the Smith completion returns W^-1 with W, so the quotient's projection
+    # costs no second inversion
+    calls = {"isotropic_quotient": 0, "unimodular_inverse": 0}
+    for owner, name in ((latfm.lattices, "isotropic_quotient"),
+                        (latfm.intmat, "unimodular_inverse")):
+        original = getattr(owner, name)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("latfm") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    latfm.mukai._mukai_complement.cache_clear()
+    argv = ["mukai", "--degree", "60", "--shadow", "--json"]
+    assert latfm.cli.run(argv, io.StringIO(), io.StringIO()) == 0
+    assert calls["isotropic_quotient"] == 8  # 2^3 vectors (r, h, s), r s = 30
+    assert calls["unimodular_inverse"] == calls["isotropic_quotient"]
 
 
 def test_genus_sum_closes_the_image_through_generators():
