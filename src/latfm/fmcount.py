@@ -9,6 +9,8 @@ selftest enforce it.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 # is_prime and least_prime_above stay importable from here: callers and the
 # benchmark's tracer (perfbench/spans.py) name them as latfm.fmcount members
 from .arith import (  # noqa: F401
@@ -25,6 +27,7 @@ from .discriminant import (
     orthogonal_group_of_module,
 )
 from .errors import LatfmError, RankUnsupportedError
+from .intmat import Mat
 from .lattices import Lattice
 from .oracle import (
     DEFAULT_BUDGET,
@@ -98,6 +101,12 @@ def fm_count_genus_sum(
     The image of O(S) in O(A_S) is exact for rank 1 and is approximated by
     bounded self-isometry enumeration (then closed under composition) for
     rank 2; higher rank is not supported.
+
+    Each member's term depends only on its Gram matrix and the budget, so it
+    is memoized per process on (gram, budget), for up to 1024 keys.  A miss
+    runs every search, closure and subgroup check; a BudgetExhaustedError is
+    not stored, so it is recomputed and raised again with the same nodes.
+    Only Gram matrices repeated within one process gain.
     """
     total = 0
     for member in genus_members:
@@ -105,17 +114,24 @@ def fm_count_genus_sum(
             raise RankUnsupportedError(
                 "orthogonal groups are only enumerated for rank <= 2"
             )
-        disc = LatticeDiscriminant(member)
-        full = orthogonal_group_of_module(disc.module)
-        side = pm_id_subgroup(disc.module)
-        if member.rank == 1:
-            image = side
-        else:
-            witnesses = enumerate_self_isometries(member, budget)
-            actions = [disc.isometry_action(w.matrix).matrix for w in witnesses]
-            image = tuple(
-                ModuleIsometry(disc.module, disc.module, mat)
-                for mat in sorted(closure(actions, disc.module.factors))
-            )
-        total += double_coset_count(image, full, side)
+        total += _member_term(member.gram, budget)
     return total
+
+
+@lru_cache(maxsize=1024)
+def _member_term(gram: Mat, budget: SearchBudget) -> int:
+    """|O(S)\\O(A_S)/G| for the member of rank <= 2 with this Gram matrix."""
+    member = Lattice(gram)
+    disc = LatticeDiscriminant(member)
+    full = orthogonal_group_of_module(disc.module)
+    side = pm_id_subgroup(disc.module)
+    if member.rank == 1:
+        image = side
+    else:
+        witnesses = enumerate_self_isometries(member, budget)
+        actions = [disc.isometry_action(w.matrix).matrix for w in witnesses]
+        image = tuple(
+            ModuleIsometry(disc.module, disc.module, mat)
+            for mat in sorted(closure(actions, disc.module.factors))
+        )
+    return double_coset_count(image, full, side)

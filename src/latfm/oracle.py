@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .discriminant import compose_matrices
@@ -95,31 +96,41 @@ def _last_coordinates(c: int, lin: int, const: int, bound: int):
     return sorted(roots)
 
 
-def _norm_buckets(lattice: Lattice, bound: int, needed, nodes: _NodeCounter):
-    """Nonzero vectors with entries in [-bound, bound], grouped by square,
-    in lexicographic order within each bucket.
+@lru_cache(maxsize=1024)
+def _norm_bucket(gram: Mat, bound: int, norm: int) -> tuple[tuple[Vec, Vec], ...]:
+    """The pairs (v, G v) of nonzero v with entries in [-bound, bound] and
+    square `norm`, v in lexicographic order; pure, so memoized per process.
 
-    The whole box of (2 bound + 1)^n vectors is charged at once, but only the
-    prefixes of its first n - 1 coordinates are walked: for each prefix p and
-    square N the last coordinate t solves Q(p, t) = c t^2 + 2 l t + Q(p, 0) = N
-    exactly, with c = g[n-1][n-1] and l = g[n-1] . p.
+    Only the prefixes p of the first n - 1 coordinates are walked: the last
+    coordinate t solves Q(p, t) = c t^2 + 2 l t + Q(p, 0) = norm exactly,
+    with c = g[n-1][n-1], and G v is the prefix's partial product plus t
+    times the last column, whose last entry is l.
     """
-    n = lattice.rank
-    nodes.tick((2 * bound + 1) ** n)
-    gram = lattice.gram
-    head = tuple(row[:-1] for row in gram[:-1])
-    last_row = gram[-1][:-1]
+    head = tuple(row[:-1] for row in gram)
+    last_col = tuple(row[-1] for row in gram)
     c = gram[-1][-1]
-    buckets: dict = {norm: [] for norm in needed}
-    for prefix in itertools.product(range(-bound, bound + 1), repeat=n - 1):
-        lin = sum(a * b for a, b in zip(last_row, prefix))
-        q0 = sum(a * b for a, b in zip(prefix, mat_vec(head, prefix)))
+    bucket = []
+    for prefix in itertools.product(range(-bound, bound + 1), repeat=len(gram) - 1):
+        partial = mat_vec(head, prefix)
+        q0 = sum(a * b for a, b in zip(prefix, partial))
         nonzero = any(prefix)
-        for norm, bucket in buckets.items():
-            for t in _last_coordinates(c, lin, q0 - norm, bound):
-                if t or nonzero:
-                    bucket.append(prefix + (t,))
-    return buckets
+        for t in _last_coordinates(c, partial[-1], q0 - norm, bound):
+            if t or nonzero:
+                gv = tuple(a + t * b for a, b in zip(partial, last_col))
+                bucket.append((prefix + (t,), gv))
+    return tuple(bucket)
+
+
+def _norm_buckets(lattice: Lattice, bound: int, needed, nodes: _NodeCounter):
+    """The bucket of each needed square: pairs (v, G v) of nonzero vectors v
+    with entries in [-bound, bound], in lexicographic order of v.
+
+    The whole box of (2 bound + 1)^n vectors is charged at once, before any
+    bucket is read, so node counts and the exhaustion point do not depend on
+    what the memo holds.
+    """
+    nodes.tick((2 * bound + 1) ** lattice.rank)
+    return {norm: _norm_bucket(lattice.gram, bound, norm) for norm in needed}
 
 
 def _column_search(l1: Lattice, target_gram: Mat, nodes: _NodeCounter, find_all: bool):
@@ -131,11 +142,6 @@ def _column_search(l1: Lattice, target_gram: Mat, nodes: _NodeCounter, find_all:
     n = l1.rank
     needed = {target_gram[j][j] for j in range(n)}
     buckets = _norm_buckets(l1, nodes.budget.entry_bound, needed, nodes)
-    # each candidate with G1 cand, computed once
-    buckets = {
-        norm: [(cand, mat_vec(l1.gram, cand)) for cand in vecs]
-        for norm, vecs in buckets.items()
-    }
     found: list[Mat] = []
     chosen: list[Vec] = []
 

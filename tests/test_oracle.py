@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from latfm import oracle
+from latfm import fmcount, oracle
 from latfm.arith import unit_square_roots
 from latfm.discriminant import (
     ModuleIsometry,
@@ -18,7 +18,9 @@ from latfm.errors import (
     DegenerateError,
     LatfmError,
     NotSubgroupError,
+    RankUnsupportedError,
 )
+from latfm.fmcount import fm_count_genus_sum
 from latfm.intmat import identity, mat_vec
 from latfm.lattices import make_lattice
 from latfm.oracle import (
@@ -231,7 +233,8 @@ class TestNecessityGrid:
 
 
 def box_scan_buckets(lattice, bound, needed, nodes):
-    """One node and one mat-vec per vector of the box, zero vector included."""
+    """One node and one mat-vec per vector of the box, zero vector included;
+    each bucket holds the pairs (v, G v), as the oracle's buckets do."""
     buckets = {norm: [] for norm in needed}
     for vec in itertools.product(range(-bound, bound + 1), repeat=lattice.rank):
         nodes.tick()
@@ -240,8 +243,8 @@ def box_scan_buckets(lattice, bound, needed, nodes):
         gv = mat_vec(lattice.gram, vec)
         norm = sum(a * b for a, b in zip(vec, gv))
         if norm in buckets:
-            buckets[norm].append(vec)
-    return buckets
+            buckets[norm].append((vec, gv))
+    return {norm: tuple(bucket) for norm, bucket in buckets.items()}
 
 
 def all_pairs_double_coset_count(left, full, right):
@@ -404,6 +407,63 @@ class TestSearchesAgainstTheBoxScan:
                     old = ("ok", [w.matrix for w in old[1]])
                     new = ("ok", [w.matrix for w in new[1]])
                 assert new == old, (gram, entry_bound, node_limit)
+
+
+class TestMemosColdAndWarm:
+    """A search or genus sum gives the same result, or the same error with
+    the same nodes, whether its memos are cold, warm or cleared again."""
+
+    PAIRS = TestSearchesAgainstTheBoxScan.PAIRS
+    BUDGETS = [SearchBudget(entry_bound=b, node_limit=limit)
+               for b, limit in TestSearchesAgainstTheBoxScan.BUDGETS]
+
+    @staticmethod
+    def three_passes(clear, memo, fn, grid, normal):
+        """Each grid point cold; then, with the memos filled across the whole
+        grid, a first and a warm call, the warm one missing nothing after a
+        stored result; then each point again after one cache_clear."""
+        cold = []
+        for args in grid:
+            clear()
+            cold.append(outcome(fn, *args))
+        shared = []
+        for args in grid:
+            first = outcome(fn, *args)
+            misses = memo.cache_info().misses
+            warm = outcome(fn, *args)
+            if first[0] == "ok":
+                assert memo.cache_info().misses == misses, args
+            shared.append((first, warm))
+        clear()
+        cleared = [outcome(fn, *args) for args in grid]
+        seen = set()
+        for args, c, (f, w), e in zip(grid, cold, shared, cleared):
+            runs = [r if r[0] == "error" else ("ok", normal(r[1])) for r in (c, f, w, e)]
+            assert runs[0] == runs[1] == runs[2] == runs[3], args
+            seen.add("ok" if c[0] == "ok" else c[1])
+        return seen
+
+    def test_find_isometry(self, cold_memos):
+        grid = [(make_lattice(g1), make_lattice(g2), budget)
+                for g1, g2 in self.PAIRS for budget in self.BUDGETS]
+        seen = self.three_passes(cold_memos, oracle._norm_bucket,
+                                 find_isometry_bounded, grid, lambda w: w.matrix)
+        assert seen == {"ok", BudgetExhaustedError}
+
+    def test_self_isometries(self, cold_memos):
+        grams = sorted({tuple(map(tuple, g)) for pair in self.PAIRS for g in pair})
+        grid = [(make_lattice(g), budget) for g in grams for budget in self.BUDGETS]
+        seen = self.three_passes(cold_memos, oracle._norm_bucket,
+                                 enumerate_self_isometries, grid,
+                                 lambda found: [w.matrix for w in found])
+        assert seen == {"ok", BudgetExhaustedError}
+
+    def test_genus_sum(self, cold_memos):
+        grid = [([make_lattice(g1), make_lattice(g2)], budget)
+                for g1, g2 in self.PAIRS for budget in self.BUDGETS]
+        seen = self.three_passes(cold_memos, fmcount._member_term,
+                                 fm_count_genus_sum, grid, lambda total: total)
+        assert seen == {"ok", BudgetExhaustedError, RankUnsupportedError}
 
 
 def closure_outcomes(left, full, right):

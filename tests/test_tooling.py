@@ -78,21 +78,31 @@ def test_factorization_and_primality_stay_under_their_traced_spans():
     assert metrics["fmcount.primality.calls"] >= 1
 
 
-def test_double_cosets_compose_matrices_not_module_isometries():
+def traced_run(argv):
+    """(exit code, stdout, metrics) of one traced in-process run."""
+    tracer = load_spans().Tracer().install()
+    try:
+        out = io.StringIO()
+        code = latfm.cli.run(argv, out, io.StringIO())
+    finally:
+        tracer.uninstall()
+    return code, out.getvalue(), tracer.metrics()
+
+
+def test_double_cosets_compose_matrices_not_module_isometries(cold_memos):
     # omega(510510) = 7, so O(A) has 2^7 = 128 elements
     argv = ["fm-count", "--degree", "1021020", "--verify", "--json"]
     plain = io.StringIO()
     assert latfm.cli.run(argv, plain, io.StringIO()) == 0
-    tracer = load_spans().Tracer().install()
-    try:
-        traced = io.StringIO()
-        code = latfm.cli.run(argv, traced, io.StringIO())
-    finally:
-        tracer.uninstall()
-    assert code == 0 and traced.getvalue() == plain.getvalue()
-    metrics = tracer.metrics()
+    cold_memos()
+    code, traced, metrics = traced_run(argv)
+    assert code == 0 and traced == plain.getvalue()
     assert metrics["oracle.double_coset.calls"] == 1
     assert metrics["discriminant.module_isometry.calls"] < 1000
+    # warm: the member's term comes from the memo of this process
+    code, warm, metrics = traced_run(argv)
+    assert code == 0 and warm == plain.getvalue()
+    assert metrics["oracle.double_coset.calls"] == 0
 
 
 def test_family_searches_modules_only_for_its_attestations():
