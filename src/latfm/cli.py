@@ -24,7 +24,7 @@ from .mukai import (
     moduli_lattice_shadow,
 )
 from .oracle import SearchBudget, find_isometry_bounded
-from .selfcheck import SelftestConfig, run_selftest
+from .selfcheck import run_selftest
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -283,7 +283,7 @@ def _cmd_orbits(args, out) -> int:
 def _cmd_selftest(args, out) -> int:
     if args.range_d < 1:
         raise UsageError(f"--range-d must be a positive integer, got {args.range_d}")
-    results = run_selftest(SelftestConfig(d_max=args.range_d))
+    results = run_selftest(args.range_d)
     failed = 0
     for result in results:
         if result.passed:

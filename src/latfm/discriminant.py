@@ -26,11 +26,11 @@ from .intmat import (
     Mat,
     Vec,
     freeze,
+    integer_solver,
     invariant_factors,
     mat_mul,
     mat_vec,
     smith_normal_form,
-    solve_integer,
     vec_dot,
 )
 from .lattices import Lattice, SublatticeEmbedding, is_primitive, orthogonal_complement
@@ -451,12 +451,13 @@ def gamma_complement_map(
     if dv.module.factors != dw.module.factors:
         raise LatfmError("complement discriminant has unexpected structure")
     pairing_v = mat_mul(v.basis, ambient.gram)  # rank(V) x n, row i = b(v_i, -)
+    lift_through = integer_solver(pairing_v)  # one SNF for every generator
     pairing_w = mat_mul(w.basis, ambient.gram)
     cols = []
     for col, f in zip(dv.module.generators, dv.module.factors):
         # the functional G.(col / f) of a generator; exact, as col / f is dual
         functional = tuple(x // f for x in mat_vec(dv.lattice.gram, col))
-        lift = solve_integer(pairing_v, functional)
+        lift = lift_through(functional)
         if lift is None:
             raise LatfmError("dual vector does not lift to the ambient lattice")
         # b(w_i, lift) is the functional on V-perp of the same class

@@ -248,10 +248,8 @@ class IsotropicQuotient:
     together with the projection V -> V/Zv in coordinates."""
 
     lattice: Lattice
-    source: SublatticeEmbedding
-    quotient_basis: tuple[Vec, ...]  # ambient-coordinate lifts of the quotient basis
-    _projection: Mat  # (rank-1) x rank, applied to source coordinates
-    _solve: Callable = field(repr=False, compare=False)  # integer_solver(source.matrix)
+    _projection: Mat  # (rank-1) x rank, applied to coordinates in V
+    _solve: Callable = field(repr=False, compare=False)  # integer_solver(V.matrix)
 
     def project(self, x: Vec) -> Vec:
         """Coordinates in the quotient of an ambient vector lying in V."""
@@ -283,8 +281,6 @@ def isotropic_quotient(v_perp: SublatticeEmbedding, v: Vec) -> IsotropicQuotient
     gram = mat_mul(lifted, mat_mul(ambient.gram, transpose(lifted)))
     return IsotropicQuotient(
         lattice=Lattice(gram),
-        source=v_perp,
-        quotient_basis=lifted,
         _projection=w_inv[1:],
         _solve=solve,
     )

@@ -115,14 +115,6 @@ class PolarizedEmbedding:
     d: int
     h: Vec
 
-    @property
-    def k3(self) -> Lattice:
-        return K3
-
-    @property
-    def mukai(self) -> Lattice:
-        return MUKAI
-
     def embed(self, v: MukaiVector) -> Vec:
         if v.d != self.d:
             raise LatfmError("vector belongs to a different polarization degree")

@@ -287,12 +287,16 @@ def closure(gens, factors, within=None):
 
 def double_coset_count(left, full, right) -> int:
     """Number of orbits of `full` under x -> l.x.r over the subgroups `left`
-    and `right` (union-find on the finite element list)."""
+    and `right` (union-find on the finite element list); an empty side is
+    not a subgroup and raises NotSubgroupError."""
     full = list(full)
     left = list(left)
     right = list(right)
     if not full:
         raise LatfmError("full group is empty")
+    # closure alone would pass an empty side, which holds no identity
+    if not left or not right:
+        raise NotSubgroupError("factor is empty")
     module = full[0].source
     for iso in itertools.chain(full, left, right):
         if iso.source != module or iso.target != module:

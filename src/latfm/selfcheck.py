@@ -54,19 +54,6 @@ SLOW_D_MAX = 30
 
 
 @dataclass(frozen=True)
-class SelftestConfig:
-    d_max: int = 200
-    # test hook: replace a builtin to watch the suite catch the corruption
-    lattice_overrides: tuple[tuple[str, Lattice], ...] = ()
-
-    def builtin(self, name: str) -> Lattice:
-        for key, lat in self.lattice_overrides:
-            if key == name:
-                return lat
-        return {"U": U, "E8_MINUS": E8_MINUS, "K3": K3, "MUKAI": MUKAI}[name]
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -82,22 +69,22 @@ def _require(condition: bool, detail: str):
         raise CheckFailure(detail)
 
 
-def check_builtin_lattices(cfg: SelftestConfig):
-    u = cfg.builtin("U")
-    _require(u.det == -1, "U must have determinant -1")
-    _require(u.is_even, "U must be even")
-    _require(tuple(u.signature) == (1, 1), "U must have signature (1, 1)")
-    e8m = cfg.builtin("E8_MINUS")
-    _require(e8m.det == 1, "E8(-1) must have determinant 1")
-    _require(tuple(e8m.signature) == (0, 8), "E8(-1) must be negative definite")
-    k3 = cfg.builtin("K3")
-    _require(k3.rank == 22, "K3 lattice must have rank 22")
-    _require(abs(k3.det) == 1 and k3.is_even, "K3 lattice must be even unimodular")
-    _require(tuple(k3.signature) == (3, 19), "K3 lattice must have signature (3, 19)")
-    mk = cfg.builtin("MUKAI")
-    _require(mk.rank == 24, "Mukai lattice must have rank 24")
-    _require(abs(mk.det) == 1 and mk.is_even, "Mukai lattice must be even unimodular")
-    _require(tuple(mk.signature) == (4, 20), "Mukai lattice must have signature (4, 20)")
+def check_builtin_lattices(d_max: int):
+    _require(U.det == -1, "U must have determinant -1")
+    _require(U.is_even, "U must be even")
+    _require(tuple(U.signature) == (1, 1), "U must have signature (1, 1)")
+    _require(E8_MINUS.det == 1, "E8(-1) must have determinant 1")
+    _require(tuple(E8_MINUS.signature) == (0, 8), "E8(-1) must be negative definite")
+    _require(K3.rank == 22, "K3 lattice must have rank 22")
+    _require(abs(K3.det) == 1 and K3.is_even, "K3 lattice must be even unimodular")
+    _require(tuple(K3.signature) == (3, 19), "K3 lattice must have signature (3, 19)")
+    _require(MUKAI.rank == 24, "Mukai lattice must have rank 24")
+    _require(
+        abs(MUKAI.det) == 1 and MUKAI.is_even, "Mukai lattice must be even unimodular"
+    )
+    _require(
+        tuple(MUKAI.signature) == (4, 20), "Mukai lattice must have signature (4, 20)"
+    )
 
 
 def _random_lattices(count: int, seed: int = 20240229):
@@ -116,7 +103,7 @@ def _random_lattices(count: int, seed: int = 20240229):
     return out
 
 
-def check_direct_sum_invariants(cfg: SelftestConfig):
+def check_direct_sum_invariants(d_max: int):
     lats = _random_lattices(12)
     for a in lats[:6]:
         for b in lats[6:]:
@@ -127,8 +114,7 @@ def check_direct_sum_invariants(cfg: SelftestConfig):
                 and s.signature.minus == a.signature.minus + b.signature.minus,
                 "direct-sum signature must add componentwise",
             )
-    for name in ("U", "E8_MINUS", "K3", "MUKAI"):
-        lat = cfg.builtin(name)
+    for name, lat in (("U", U), ("E8_MINUS", E8_MINUS), ("K3", K3), ("MUKAI", MUKAI)):
         flipped = rescale(lat, -1)
         _require(
             (flipped.signature.plus, flipped.signature.minus)
@@ -137,13 +123,12 @@ def check_direct_sum_invariants(cfg: SelftestConfig):
         )
 
 
-def check_complement_invariants(cfg: SelftestConfig):
-    k3 = cfg.builtin("K3")
+def check_complement_invariants(d_max: int):
     for d in (1, 2, 3, 6):
-        h = (1, d) + (0,) * (k3.rank - 2)
-        v = SublatticeEmbedding(k3, (h,))
+        h = (1, d) + (0,) * (K3.rank - 2)
+        v = SublatticeEmbedding(K3, (h,))
         comp = orthogonal_complement(v)
-        _require(comp.rank == k3.rank - 1, "h-complement must have corank 1")
+        _require(comp.rank == K3.rank - 1, "h-complement must have corank 1")
         _require(is_primitive(comp), "orthogonal complements must be primitive")
         _require(
             abs(comp.lattice().det) == 2 * d,
@@ -161,8 +146,8 @@ def check_complement_invariants(cfg: SelftestConfig):
         _require(tuple(comp.lattice().signature) == (1, 1), "complement signature")
 
 
-def check_discriminant_order(cfg: SelftestConfig):
-    for lat in _random_lattices(15, seed=777) + [cfg.builtin("U"), cfg.builtin("K3")]:
+def check_discriminant_order(d_max: int):
+    for lat in _random_lattices(15, seed=777) + [U, K3]:
         module = discriminant_module(lat)
         _require(
             module.order == abs(lat.det),
@@ -170,8 +155,8 @@ def check_discriminant_order(cfg: SelftestConfig):
         )
 
 
-def check_closed_form_vs_machinery(cfg: SelftestConfig):
-    top = min(cfg.d_max, SLOW_D_MAX)
+def check_closed_form_vs_machinery(d_max: int):
+    top = min(d_max, SLOW_D_MAX)
     for d in range(1, top + 1):
         for n in range(1, top + 1):
             if gcd(2 * d, n) != 1:
@@ -188,7 +173,7 @@ def check_closed_form_vs_machinery(cfg: SelftestConfig):
             )
 
 
-def check_orthogonal_group(cfg: SelftestConfig):
+def check_orthogonal_group(d_max: int):
     for d in (1, 2, 4, 6, 12, 30):
         module = discriminant_module(Lattice(((2 * d,),)))
         group = orthogonal_group_of_module(module)
@@ -202,8 +187,8 @@ def check_orthogonal_group(cfg: SelftestConfig):
         )
 
 
-def check_units_count(cfg: SelftestConfig):
-    for d in range(2, cfg.d_max + 1):
+def check_units_count(d_max: int):
+    for d in range(2, d_max + 1):
         _require(
             len(units_with_square_one(2 * d)) == 2 ** distinct_prime_count(d),
             f"unit count for d={d} must be 2^p(d)",
@@ -211,8 +196,8 @@ def check_units_count(cfg: SelftestConfig):
     _require(units_with_square_one(2) == (1,), "d=1 must have the trivial unit group")
 
 
-def check_fm_closed_vs_cosets(cfg: SelftestConfig):
-    for d in range(1, cfg.d_max + 1):
+def check_fm_closed_vs_cosets(d_max: int):
+    for d in range(1, d_max + 1):
         closed = fm_count_rho1(d)
         cosets = fm_count_rho1_via_cosets(d)
         _require(
@@ -222,11 +207,10 @@ def check_fm_closed_vs_cosets(cfg: SelftestConfig):
         _require(closed >= 1, "partner counts are at least 1")
 
 
-def check_gamma(cfg: SelftestConfig):
-    k3 = cfg.builtin("K3")
+def check_gamma(d_max: int):
     for d in (2, 3, 6):
-        h = (1, d) + (0,) * (k3.rank - 2)
-        iso = gamma_complement_map(k3, SublatticeEmbedding(k3, (h,)))
+        h = (1, d) + (0,) * (K3.rank - 2)
+        iso = gamma_complement_map(K3, SublatticeEmbedding(K3, (h,)))
         _require(verify_anti_isometry(iso), f"gamma must negate q for <h>, d={d}")
     uu = direct_sum(U, U)
     for d, n in ((1, 3), (2, 5), (3, 7), (4, 3)):
@@ -238,10 +222,10 @@ def check_gamma(cfg: SelftestConfig):
         )
 
 
-def check_mukai_vectors(cfg: SelftestConfig):
+def check_mukai_vectors(d_max: int):
     from .mukai import class_representatives
 
-    for d in range(1, cfg.d_max + 1):
+    for d in range(1, d_max + 1):
         vectors = enumerate_mukai_vectors(d)
         for v in vectors:
             _require(v.is_isotropic, f"vector (r={v.r}, s={v.s}) must be isotropic")
@@ -252,8 +236,8 @@ def check_mukai_vectors(cfg: SelftestConfig):
         )
 
 
-def check_moduli_shadows(cfg: SelftestConfig):
-    for d in range(1, min(cfg.d_max, SLOW_D_MAX) + 1):
+def check_moduli_shadows(d_max: int):
+    for d in range(1, min(d_max, SLOW_D_MAX) + 1):
         for v in enumerate_mukai_vectors(d):
             shadow = moduli_lattice_shadow(v)
             q = shadow.quotient
@@ -270,7 +254,7 @@ def check_moduli_shadows(cfg: SelftestConfig):
             )
 
 
-def check_rank2_grid(cfg: SelftestConfig):
+def check_rank2_grid(d_max: int):
     for n in GRID_PRIMES:
         for d1 in range(1, GRID_D_MAX + 1):
             for d2 in range(d1, GRID_D_MAX + 1):
@@ -296,7 +280,7 @@ def check_rank2_grid(cfg: SelftestConfig):
                     )
 
 
-def check_disc_witness_biconditional(cfg: SelftestConfig):
+def check_disc_witness_biconditional(d_max: int):
     for n in GRID_PRIMES:
         for d1 in range(1, GRID_D_MAX + 1):
             for d2 in range(1, GRID_D_MAX + 1):
@@ -312,7 +296,7 @@ def check_disc_witness_biconditional(cfg: SelftestConfig):
                 )
 
 
-def check_family_pipeline(cfg: SelftestConfig):
+def check_family_pipeline(d_max: int):
     for ambient, rank, sig in (("k3", 20, (2, 18)), ("abelian", 4, (2, 2))):
         bundle = build_family(FAMILY_COUNT, 1, ambient)
         pairs = FAMILY_COUNT * (FAMILY_COUNT - 1) // 2
@@ -325,8 +309,8 @@ def check_family_pipeline(cfg: SelftestConfig):
             )
 
 
-def check_polarization_orbits(cfg: SelftestConfig):
-    for d in range(1, cfg.d_max + 1):
+def check_polarization_orbits(d_max: int):
+    for d in range(1, d_max + 1):
         report = polarization_orbits_in_u(d)
         _require(
             report.count == fm_count_rho1(d),
@@ -353,12 +337,11 @@ CHECKS = (
 )
 
 
-def run_selftest(cfg: SelftestConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or SelftestConfig()
+def run_selftest(d_max: int = 200) -> list[CheckResult]:
     results = []
     for name, fn in CHECKS:
         try:
-            fn(cfg)
+            fn(d_max)
         except CheckFailure as failure:
             results.append(CheckResult(name, False, str(failure)))
         except LatfmError as err:

@@ -13,7 +13,8 @@ from latfm import cli
 from latfm.arith import MR_LIMIT
 from latfm.cli import run
 from latfm.lattices import Lattice
-from latfm.selfcheck import CHECKS, SelftestConfig, run_selftest
+import latfm.selfcheck
+from latfm.selfcheck import CHECKS, run_selftest
 
 
 def invoke(argv):
@@ -313,6 +314,17 @@ def test_a_closed_stdout_ends_quietly():
     assert err == b""
 
 
+def test_python_m_latfm_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "latfm", "fm-count", "--degree", "420"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "degree=420 d=210 p=4 fm_partners=8\n"
+
+
 # sha256 of stdout, recorded with the trial-division factorization
 PINNED_STDOUT = {
     ("fm-count", "--range", "2..2000", "--verify", "--json"):
@@ -441,11 +453,16 @@ class TestSelftest:
         assert out == ""
         assert err.startswith("usage error:")
 
-    def test_corrupted_builtin_is_reported(self):
+    def test_corrupted_builtin_is_reported(self, monkeypatch):
         # replace U by an odd unimodular lattice: the builtin invariants fail
-        bad = Lattice(((1, 0), (0, -1)))
-        cfg = SelftestConfig(d_max=5, lattice_overrides=(("U", bad),))
-        results = run_selftest(cfg)
+        monkeypatch.setattr(latfm.selfcheck, "U", Lattice(((1, 0), (0, -1))))
+        results = run_selftest(5)
         by_name = {r.name: r for r in results}
         assert not by_name["builtin-lattice-invariants"].passed
         assert "U must" in by_name["builtin-lattice-invariants"].detail
+
+    def test_corrupted_builtin_fails_the_command(self, monkeypatch):
+        monkeypatch.setattr(latfm.selfcheck, "U", Lattice(((1, 0), (0, -1))))
+        code, out, _ = invoke(["selftest", "--range-d", "5"])
+        assert code == 1
+        assert "FAIL builtin-lattice-invariants: U must" in out

@@ -271,6 +271,18 @@ class TestBuildFamily:
         with pytest.raises(LatfmError):
             build_family(2, 1, "torus")
 
+    @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+    def test_members_are_isotropic_and_the_first_is_polarized(self, ambient):
+        # build_family checks neither at run time: both hold by construction
+        for count in range(1, 6):
+            for d in range(1, 13):
+                bundle = build_family(count, d, ambient)
+                assert len(bundle.members) == count
+                for member in bundle.members:
+                    assert member.represents_zero_vector == (0, 1)
+                    assert member.lattice.square((0, 1)) == 0
+                assert bundle.members[0].lattice.square((1, 0)) == 2 * d
+
     def test_member_embedding_extends_to_k3(self):
         member = make_member(1, 17)
         emb = embed_member(member, "k3")

@@ -194,6 +194,17 @@ class TestDoubleCosets:
         with pytest.raises(NotSubgroupError):
             double_coset_count(not_closed, full, (identity_isometry(module),))
 
+    @pytest.mark.parametrize("empty_side", ["left", "right"])
+    def test_empty_side_is_not_a_subgroup(self, empty_side):
+        # closure holds vacuously on an empty set, which has no identity
+        module = discriminant_module(make_lattice([[60]]))
+        full = orthogonal_group_of_module(module)
+        assert len(full) == 8
+        side = (identity_isometry(module), negation_isometry(module))
+        left, right = ((), side) if empty_side == "left" else (side, ())
+        with pytest.raises(NotSubgroupError, match="empty"):
+            double_coset_count(left, full, right)
+
     def test_element_outside_group(self):
         m12 = discriminant_module(make_lattice([[12]]))
         m4 = discriminant_module(make_lattice([[4]]))

@@ -152,6 +152,20 @@ def test_each_isotropic_quotient_inverts_one_matrix(monkeypatch):
     assert calls["unimodular_inverse"] == calls["isotropic_quotient"]
 
 
+def test_gamma_factors_its_pairing_once():
+    # A_V = (Z/2)^2 has two generators; their lifts share one SNF of the
+    # pairing matrix (a second SNF per generator would make 7)
+    uu = latfm.lattices.direct_sum(latfm.lattices.U, latfm.lattices.U)
+    emb = latfm.lattices.SublatticeEmbedding(uu, ((1, 1, 0, 0), (0, 0, 1, 1)))
+    tracer = load_spans().Tracer().install()
+    try:
+        iso = latfm.discriminant.gamma_complement_map(uu, emb)
+    finally:
+        tracer.uninstall()
+    assert iso.source.factors == (2, 2)
+    assert tracer.metrics()["intmat.snf.calls"] == 6
+
+
 def test_genus_sum_closes_the_image_through_generators():
     members = [latfm.lattices.make_lattice(g)
                for g in ([[2, 1], [1, 4]], [[2, 0], [0, 6]], [[4, 1], [1, 2]])]
