@@ -16,7 +16,7 @@ import sys
 from .discriminant import discriminant_module
 from .errors import BudgetExhaustedError, LatfmError
 from .family import build_family, polarization_orbits_in_u
-from .fmcount import distinct_prime_count, fm_count_rho1, fm_count_rho1_via_cosets
+from .fmcount import fm_count_rho1_via_cosets, fm_count_rho1_with_p
 from .lattices import Lattice, make_lattice
 from .mukai import (
     class_representatives,
@@ -82,8 +82,54 @@ def _lattice_payload(lattice: Lattice) -> dict:
     return {"rank": lattice.rank, "gram": [list(row) for row in lattice.gram]}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# the JSON text of a scalar, by its exact type
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2) for dicts with str keys, lists, tuples,
+    str, int, bool and None; TypeError for anything else.  `newline` is a
+    newline and the indentation of `value`.  The stdlib's indented encoder
+    is pure Python and costs about twice as much."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = []
+        for item in value:
+            scalar = _SCALAR_TEXT.get(type(item))
+            items.append(scalar(item) if scalar is not None else _json_text(item, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            scalar = _SCALAR_TEXT.get(type(item))
+            text = scalar(item) if scalar is not None else _json_text(item, inner)
+            items.append(_encode_str(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # subclasses of str and int, as json.dumps writes them
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(out, payload):
-    print(json.dumps(payload, indent=2), file=out)
+    print(_json_text(payload), file=out)
 
 
 def _cmd_fm_count(args, out) -> int:
@@ -95,8 +141,8 @@ def _cmd_fm_count(args, out) -> int:
         ds = [degree // 2 for degree in _parse_degree_range(args.range)]
     rows = []
     for d in ds:
-        row = {"degree": 2 * d, "d": d, "p": distinct_prime_count(d),
-               "fm_partners": fm_count_rho1(d)}
+        p, partners = fm_count_rho1_with_p(d)
+        row = {"degree": 2 * d, "d": d, "p": p, "fm_partners": partners}
         if args.verify:
             row["fm_partners_via_cosets"] = fm_count_rho1_via_cosets(d)
             if row["fm_partners_via_cosets"] != row["fm_partners"]:
@@ -369,22 +415,132 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _table_entry(parser: argparse.ArgumentParser, *, top: bool):
+    """(options, fields, required) for a parser whose argv _read_argv can
+    read, else None.  options maps each option string to (action, takes a
+    value, type function), fields holds what parse_args sets before it reads
+    an argument, and required lists the actions that must be given.  At the
+    top level the one positional allowed is the subcommand; below it, none."""
+    if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None
+            or parser._mutually_exclusive_groups):
+        return None
+    options, fields, required = {}, {}, []
+    for action in parser._actions:
+        kind = type(action)
+        if (kind is argparse._HelpAction
+                or (top and kind is argparse._SubParsersAction)):
+            pass  # not in options: argparse answers -h and --help
+        elif (top or not action.option_strings
+                or kind not in (argparse._StoreAction, argparse._StoreTrueAction)
+                or (kind is argparse._StoreAction and action.nargs is not None)):
+            return None
+        else:
+            takes_value = kind is argparse._StoreAction
+            convert = action.type and parser._registry_get("type", action.type, action.type)
+            for option in action.option_strings:
+                options[option] = (action, takes_value, convert)
+            if action.required:
+                required.append(action)
+        # parse_args would pass an unread str default through its type
+        if isinstance(action.default, str) and action.type is not None:
+            return None
+        if argparse.SUPPRESS not in (action.dest, action.default):
+            fields.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        fields.setdefault(dest, value)
+    return options, fields, tuple(required)
+
+
+@functools.lru_cache(maxsize=1)
+def _argv_table() -> dict:
+    """{subcommand: its _table_entry, fields as parse_args returns them when
+    no option is given} for the parser of this process.  A subcommand with
+    anything the table does not model (a positional, an nargs, a mutually
+    exclusive group, an action other than store and store_true) is left
+    out, so that its argv goes to argparse whole."""
+    parser = _parser()
+    top = _table_entry(parser, top=True)
+    commands = [a for a in parser._actions if type(a) is argparse._SubParsersAction]
+    if top is None or len(commands) != 1:
+        return {}
+    table = {}
+    for name, sub in commands[0].choices.items():
+        entry = _table_entry(sub, top=False)
+        if entry is None:
+            continue
+        options, sub_fields, required = entry
+        fields = dict(top[1])
+        if commands[0].dest != argparse.SUPPRESS:
+            fields[commands[0].dest] = name
+        # parse_args copies every attribute of the subcommand over the top level's
+        fields.update(sub_fields)
+        table[name] = (options, fields, required)
+    return table
+
+
+def _read_argv(argv):
+    """The Namespace _parser().parse_args(argv) returns, for a plain argv: a
+    subcommand, then exact option strings, each valued one followed by a
+    value that does not start with "-", and every required option.  A
+    repeated option keeps its last value, as in argparse.  None for anything
+    else (help, --opt=value, "--", negative numbers, unknown options, values
+    that fail their type or choices, missing options): argparse reads those
+    and reports the errors."""
+    if not isinstance(argv, (list, tuple)) or not argv:
+        return None
+    entry = _argv_table().get(argv[0])
+    if entry is None:
+        return None
+    options, fields, required = entry
+    fields = dict(fields)
+    seen = set()
+    i, n = 1, len(argv)
+    while i < n:
+        spec = options.get(argv[i])
+        if spec is None:
+            return None
+        action, takes_value, convert = spec
+        seen.add(action)
+        if takes_value:
+            i += 1
+            if i == n:
+                return None
+            value = argv[i]
+            if not isinstance(value, str) or value.startswith("-"):
+                return None
+            if convert:
+                try:
+                    value = convert(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        else:
+            value = action.const
+        fields[action.dest] = value
+        i += 1
+    if not seen.issuperset(required):
+        return None
+    return argparse.Namespace(**fields)
+
+
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _parser()
     # Gram entries and invariant factors have any number of digits: lift
     # CPython's int/str conversion limit for the call, where it has one
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        try:
-            # argparse prints help and usage errors to sys.stdout/sys.stderr
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return USAGE_ERROR if exc.code else 0
+        args = _read_argv(argv)
+        if args is None:
+            try:
+                # argparse prints help and usage errors to sys.stdout/sys.stderr
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    args = _parser().parse_args(argv)
+            except SystemExit as exc:
+                return USAGE_ERROR if exc.code else 0
         return args.handler(args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=err)

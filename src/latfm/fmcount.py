@@ -64,9 +64,13 @@ def unitary_divisors(d: int) -> tuple[int, ...]:
 def fm_count_rho1(d: int) -> int:
     """Closed-form count of Fourier-Mukai partners for Picard number 1 and
     polarization degree 2d."""
-    if d < 1:
-        raise LatfmError("d must be positive")
-    return 2 ** (distinct_prime_count(d) - 1)
+    return fm_count_rho1_with_p(d)[1]
+
+
+def fm_count_rho1_with_p(d: int) -> tuple[int, int]:
+    """(p(d), fm_count_rho1(d)) from one factorization of d."""
+    p = distinct_prime_count(d)
+    return p, 2 ** (p - 1)
 
 
 def pm_id_subgroup(module: FiniteQuadraticModule) -> tuple[ModuleIsometry, ...]:

@@ -1,7 +1,10 @@
+import argparse
+import contextlib
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from latfm import cli
-from latfm.arith import MR_LIMIT
+from latfm.arith import MR_LIMIT, prime_factorization
 from latfm.cli import run
 from latfm.lattices import Lattice
+import latfm.fmcount
 import latfm.selfcheck
 from latfm.selfcheck import CHECKS, run_selftest
 
@@ -60,6 +64,27 @@ class TestFmCount:
     def test_unknown_flag(self):
         code, _, _ = invoke(["fm-count", "--degre", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [
+            (["fm-count", "--degree", "420"], 1),
+            (["fm-count", "--degree", "420", "--verify", "--json"], 1),
+            # d = 1 has no prime to find
+            (["fm-count", "--range", "2..40", "--verify"], 19),
+        ],
+    )
+    def test_one_factorization_per_row(self, monkeypatch, argv, rows):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return prime_factorization(n)
+
+        monkeypatch.setattr(latfm.fmcount, "prime_factorization", counted)
+        code, _, _ = invoke(argv)
+        assert code == 0
+        assert len(calls) == rows
 
 
 class TestDisc:
@@ -404,22 +429,22 @@ class TestParserReuse:
         assert capsys.readouterr() == ("", "")
 
 
+DETERMINISM_ARGVS = [
+    ["fm-count", "--range", "2..40", "--json"],
+    ["family", "--count", "2", "--degree", "2", "--json"],
+    ["mukai", "--degree", "60", "--classes", "--json"],
+    ["orbits", "--degree", "420", "--json"],
+    # the second call of these reads the oracle's memos
+    ["isometry", "--gram1", "[[2,5],[5,0]]", "--gram2", "[[12,5],[5,0]]",
+     "--json"],
+    ["isometry", "--gram1", "[[2,17],[17,0]]", "--gram2", "[[8,17],[17,0]]",
+     "--budget-entries", "12", "--json"],
+    ["fm-count", "--degree", "1021020", "--verify", "--json"],
+]
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fm-count", "--range", "2..40", "--json"],
-            ["family", "--count", "2", "--degree", "2", "--json"],
-            ["mukai", "--degree", "60", "--classes", "--json"],
-            ["orbits", "--degree", "420", "--json"],
-            # the second call of these reads the oracle's memos
-            ["isometry", "--gram1", "[[2,5],[5,0]]", "--gram2", "[[12,5],[5,0]]",
-             "--json"],
-            ["isometry", "--gram1", "[[2,17],[17,0]]", "--gram2", "[[8,17],[17,0]]",
-             "--budget-entries", "12", "--json"],
-            ["fm-count", "--degree", "1021020", "--verify", "--json"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", DETERMINISM_ARGVS)
     def test_byte_identical_output(self, argv):
         first = invoke(argv)
         second = invoke(argv)
@@ -466,3 +491,214 @@ class TestSelftest:
         code, out, _ = invoke(["selftest", "--range-d", "5"])
         assert code == 1
         assert "FAIL builtin-lattice-invariants: U must" in out
+
+
+# Values per option of each subcommand for the argv grid (None: a flag).
+# Each pool mixes valid values with ones argparse or a handler rejects;
+# values are small so that the valid argvs run fast.
+GRID_VALUES = {
+    "fm-count": {"--degree": ["4", "420", "3", "x", "", "-4"],
+                 "--range": ["2..8", "8..2", "2..x"], "--verify": None, "--json": None},
+    "disc": {"--gram": ["[[2,1],[1,2]]", "[[3]]", "[[1,1],[1,1]]", "[2]"],
+             "--json": None},
+    "mukai": {"--degree": ["2", "4", "7", "-2"], "--classes": None, "--shadow": None,
+              "--json": None},
+    "family": {"--count": ["1", "2", "0", "x", "2.0", " 2"], "--degree": ["2", "4", "3"],
+               "--ambient": ["k3", "abelian", "K3", "torus"], "--json": None},
+    "isometry": {"--gram1": ["[[2,5],[5,0]]", "[[2,1],[1,2]]", "[[2]]"],
+                 "--gram2": ["[[12,5],[5,0]]", "[[2,1],[1,2]]", "[[4]]"],
+                 "--budget-entries": ["3", "0", "x"], "--budget-nodes": ["1000", "1e3"],
+                 "--json": None},
+    "orbits": {"--degree": ["12", "60", "7"], "--json": None},
+    "selftest": {"--range-d": ["1", "0", "x", ""]},
+}
+MUTATIONS = (None,) * 7 + ("=", "repeat", "--", "-1", "unknown", "-h", "no-value")
+
+
+def grid_argvs(seed: int = 16, per_command: int = 24) -> list:
+    """A seeded grid of argvs per subcommand: a random subset of its options
+    (so that required ones go missing), in random order, then at most one
+    change that takes the argv off the plain form."""
+    rng = random.Random(seed)
+    argvs = []
+    for command, pool in GRID_VALUES.items():
+        for _ in range(per_command):
+            # a bare selftest runs the default range, which takes seconds
+            options = [option for option in sorted(pool)
+                       if command == "selftest" or rng.random() < 0.75]
+            rng.shuffle(options)
+            pairs = []
+            for option in options:
+                pairs.append([option] if pool[option] is None
+                             else [option, rng.choice(pool[option])])
+            mutation = rng.choice(MUTATIONS)
+            valued = [pair for pair in pairs if len(pair) == 2]
+            if mutation == "=" and valued:
+                pair = rng.choice(valued)
+                pair[:] = ["=".join(pair)]
+            elif mutation == "repeat" and pairs:
+                pairs.insert(rng.randint(0, len(pairs)), list(rng.choice(pairs)))
+            elif mutation == "-1" and valued:
+                rng.choice(valued)[1] = "-1"
+            elif mutation == "no-value" and valued:
+                del rng.choice(valued)[1]
+            elif mutation in ("--", "unknown", "-h"):
+                token = {"--": "--", "-h": rng.choice(["-h", "--help"]),
+                         "unknown": rng.choice(["--bogus", "--degre", "-x"])}[mutation]
+                pairs.insert(rng.randint(0, len(pairs)), [token])
+            argvs.append([command] + [token for pair in pairs for token in pair])
+    return argvs
+
+
+class TestArgvTable:
+    """A plain argv is read from a table built from the argparse parser;
+    everything else goes to argparse, with the same answer either way."""
+
+    GRID = grid_argvs()
+    CHEAP = GRID + TestParserReuse.ARGVS + DETERMINISM_ARGVS
+
+    def test_the_table_reads_what_argparse_reads(self):
+        argvs = self.CHEAP + [list(argv) for argv in PINNED_STDOUT]
+        read = 0
+        for argv in argvs:
+            namespace = cli._read_argv(argv)
+            if namespace is not None:
+                read += 1
+                assert namespace == cli._parser().parse_args(argv), argv
+        # neither path is vacuous: the grid has both kinds of argv
+        assert 0.2 * len(argvs) < read < 0.8 * len(argvs)
+
+    def test_the_grid_has_each_case(self):
+        tokens = {token for argv in self.GRID for token in argv}
+        assert {"--", "-1", "-h", "--help", "--bogus", "x", "torus"} <= tokens
+        assert any("=" in token for token in tokens)
+        assert any(len(argv) > len(set(argv)) for argv in self.GRID)
+
+    def test_run_answers_alike_with_and_without_the_table(self, monkeypatch, capsys):
+        # PINNED_STDOUT's argvs are slow; their pins were recorded through argparse
+        with_table = [TestParserReuse.run_captured(argv, capsys) for argv in self.CHEAP]
+        monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+        assert [TestParserReuse.run_captured(argv, capsys)
+                for argv in self.CHEAP] == with_table
+        assert {code for code, _, _ in with_table} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fm-count", "--degree", "420", "--json"],
+            ["fm-count", "--degree", "420", "--verify", "--json"],
+            ["isometry", "--gram1", "[[2,5],[5,0]]", "--gram2", "[[12,5],[5,0]]",
+             "--json"],
+            ["family", "--count", "2", "--degree", "4", "--json"],
+            ["family", "--count", "2", "--degree", "4", "--ambient", "abelian",
+             "--json"],
+            ["mukai", "--degree", "4", "--shadow", "--json"],
+        ],
+    )
+    def test_the_benchmarked_shapes_bypass_argparse(self, monkeypatch, argv):
+        # a later edit to build_parser must not send this traffic to argparse
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_args called")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("{")
+
+    def test_what_the_table_does_not_model_goes_to_argparse(self, monkeypatch):
+        parser = argparse.ArgumentParser(prog="t", allow_abbrev=False)
+        commands = parser.add_subparsers(dest="command", required=True)
+        plain = commands.add_parser("plain")
+        plain.add_argument("--n", type=int, default=1)
+        plain.add_argument("--flag", action="store_true")
+        commands.add_parser("positional").add_argument("n")
+        commands.add_parser("nargs").add_argument("--n", nargs=2)
+        commands.add_parser("append").add_argument("--n", action="append")
+        commands.add_parser("str-default").add_argument("--n", type=int, default="1")
+        commands.add_parser("exclusive").add_mutually_exclusive_group().add_argument(
+            "--a", action="store_true")
+        commands.add_parser("prefix", prefix_chars="+").add_argument("+n")
+        commands.add_parser("fromfile", fromfile_prefix_chars="@").add_argument("--n")
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        cli._argv_table.cache_clear()
+        try:
+            assert set(cli._argv_table()) == {"plain"}
+            for argv in (["plain"], ["plain", "--n", "5", "--flag"]):
+                assert cli._read_argv(argv) == parser.parse_args(argv)
+            assert cli._read_argv(["str-default"]) is None
+            parser.add_argument("--verbose", action="store_true")
+            cli._argv_table.cache_clear()
+            assert cli._argv_table() == {}
+        finally:
+            cli._argv_table.cache_clear()
+
+    def test_nothing_is_built_at_import(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = ("import latfm.cli as c; "
+                 "print(c._parser.cache_info().currsize, c._argv_table.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+JSON_TEXTS = ["", "plain", 'quote " and \\ back', "tab\tnew\nline\r\b\f", "\x00\x1f\x7f",
+              "é", "Zürich €", "  ", "😀", "\ud800", "/</script>"]
+
+
+def random_payload(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth else 6)
+    if kind == 0:
+        return rng.choice(JSON_TEXTS) + rng.choice(JSON_TEXTS)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 7, -(2**70), 2**64 + 1])
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind in (3, 4, 5):
+        return rng.choice([[], {}, (), [[]], {"": {}}, [(), {}]])
+    items = [random_payload(rng, depth - 1) for _ in range(rng.randint(1, 4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    return {rng.choice(JSON_TEXTS) + str(i): item for i, item in enumerate(items)}
+
+
+class TestJsonWriter:
+    @staticmethod
+    def emitted(payload) -> str:
+        out = io.StringIO()
+        cli._emit_json(out, payload)
+        return out.getvalue()
+
+    def test_random_payloads_match_json_dumps(self):
+        rng = random.Random(16)
+        payloads = [random_payload(rng, 4) for _ in range(400)]
+        payloads += [{"results": list(payloads)}, payloads[:5] + [-3, "x"]]
+        assert {type(p) for p in payloads} >= {str, int, bool, list, tuple, dict}
+        for payload in payloads:
+            assert self.emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_an_int_of_5000_digits(self):
+        n = -(10**5000 - 1)
+        with unlimited_int_digits():
+            payload = {"gram": [[n, 1], [1, 0]]}
+            assert self.emitted(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [1.5, {"a": [0.5]}, [float("nan")], {1: 2},
+                                         {"a": {3}}, b"x"])
+    def test_other_types_raise_type_error(self, payload):
+        with pytest.raises(TypeError):
+            self.emitted(payload)
