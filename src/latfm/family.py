@@ -15,14 +15,13 @@ from math import gcd
 from .arith import least_prime_above, unit_square_roots
 from .discriminant import (
     FiniteQuadraticModule,
-    LatticeDiscriminant,
     ModuleIsometry,
     cyclic_module,
     is_isometric_modules,
 )
 from .errors import HypothesisFailedError, LatfmError, NotCoprimeError
 from .fmcount import unitary_divisors
-from .intmat import Vec, mat_vec, vec_dot
+from .intmat import Vec, mat_vec, smith_normal_form, vec_dot
 from .lattices import (
     K3,
     Lattice,
@@ -30,7 +29,6 @@ from .lattices import (
     SublatticeEmbedding,
     U,
     direct_sum,
-    rescale,
 )
 
 UU = direct_sum(U, U)
@@ -232,16 +230,29 @@ def complement_genus_data(member: FamilyMember, ambient: str) -> GenusData:
     abelian) and the member lies in U+U, so its complement is K + W with K
     its rank-2 complement in U+U.  W adds nothing to the discriminant
     module, A(K + W) = A(K), and the signatures add.  K is L_{d,n}(-1): the
-    canonical basis (1, -d, 0, -n), (0, 0, 1, 0) of K has Gram -G.  The
-    module's generators are in the coordinates of that basis."""
-    block = rescale(member.lattice, -1)
+    canonical basis (1, -d, 0, -n), (0, 0, 1, 0) of K has Gram -G, and
+    sig K is sig L_{d,n} with its two parts swapped.
+
+    A(K) is cyclic of order n^2, read off the Smith form of -G: its
+    generator is v / f with v the column of V at f = D[1][1], in the
+    coordinates of that basis, as LatticeDiscriminant(K) would give it.  v
+    is checked as make_member checks its closed form: f = |det K|, -G v = 0
+    mod f and gcd(v, f) = 1, so v / f lies in K* and has order |A(K)|."""
+    lattice = member.lattice
+    gram = family_gram(-member.d, -member.n)  # -G
+    _, diagonal, transform = smith_normal_form(gram)
+    f = diagonal[1][1]
+    v = (transform[0][1], transform[1][1])
+    image = mat_vec(gram, v)
+    if f != abs(lattice.det) or any(x % f for x in image) or gcd(*v, f) != 1:
+        raise LatfmError("Smith generator of the complement does not generate A(K)")
     # sig W = sig(ambient) - sig(U+U), from signatures cached per process
-    whole, head, own = AMBIENTS[ambient].signature, UU.signature, block.signature
+    whole, head, own = AMBIENTS[ambient].signature, UU.signature, lattice.signature
     return GenusData(
         signature=Signature(
-            own.plus + whole.plus - head.plus, own.minus + whole.minus - head.minus
+            own.minus + whole.plus - head.plus, own.plus + whole.minus - head.minus
         ),
-        module=LatticeDiscriminant(block).module,
+        module=cyclic_module(f, vec_dot(v, image) // f, generator=v),
     )
 
 

@@ -96,7 +96,59 @@ def det(m: Mat) -> int:
 
 def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
     """Return (U, D, V) with U*m*V = D diagonal, d_i >= 0, d_i | d_{i+1},
-    and U, V unimodular."""
+    and U, V unimodular.  A 2x2 input takes the straight-line _smith_2x2,
+    which returns what _smith_loop returns."""
+    if len(m) == 2 and len(m[0]) == 2:
+        return _smith_2x2(m)
+    return _smith_loop(m)
+
+
+def _smith_2x2(m: Mat) -> tuple[Mat, Mat, Mat]:
+    """_smith_loop's steps on a 2x2 matrix, on eight scalars for U and V.
+
+    Pivot: the least nonzero |entry|, the first in row-major order on a tie,
+    moved to (0, 0) and its row made positive.  Then row 1 and column 1 are
+    reduced by floor division; a remainder picks the next pivot, and when
+    both are clear but the pivot does not divide the corner, row 0 += row 1
+    and the pivot is picked again.  Last, row 1 is negated if its corner is
+    < 0.
+    """
+    (a, b), (c, d) = m
+    if not (a or b or c or d):
+        return ((1, 0), (0, 1)), ((0, 0), (0, 0)), ((1, 0), (0, 1))
+    u00, u01, u10, u11 = 1, 0, 0, 1
+    v00, v01, v10, v11 = 1, 0, 0, 1
+    while True:
+        best, k = abs(a), 0
+        for i, x in ((1, b), (2, c), (3, d)):
+            if x and (not best or abs(x) < best):
+                best, k = abs(x), i
+        if k > 1:
+            a, b, c, d = c, d, a, b
+            u00, u01, u10, u11 = u10, u11, u00, u01
+        if k & 1:
+            a, b, c, d = b, a, d, c
+            v00, v01, v10, v11 = v01, v00, v11, v10
+        if a < 0:
+            a, b, u00, u01 = -a, -b, -u00, -u01
+        q = c // a
+        if q:
+            c, d, u10, u11 = c - q * a, d - q * b, u10 - q * u00, u11 - q * u01
+        q = b // a
+        if q:
+            b, d, v01, v11 = b - q * a, d - q * c, v01 - q * v00, v11 - q * v10
+        if b or c:
+            continue
+        if d % a == 0:
+            break
+        b, u00, u01 = d, u00 + u10, u01 + u11
+    if d < 0:
+        d, u10, u11 = -d, -u10, -u11
+    return ((u00, u01), (u10, u11)), ((a, 0), (0, d)), ((v00, v01), (v10, v11))
+
+
+def _smith_loop(m: Mat) -> tuple[Mat, Mat, Mat]:
+    """The generic Smith elimination, for every shape."""
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     a = [list(row) for row in m]

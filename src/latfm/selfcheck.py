@@ -25,6 +25,7 @@ from .errors import BudgetExhaustedError, LatfmError
 from .family import (
     build_family,
     closed_form_module,
+    complement_genus_data,
     disc_groups_isomorphic,
     isometry_necessary_conditions,
     make_member,
@@ -170,6 +171,11 @@ def check_closed_form_vs_machinery(d_max: int):
             _require(
                 is_isometric_modules(closed_form_module(d, n), machinery) is not None,
                 f"closed-form module for ({d},{n}) must match the machinery",
+            )
+            _require(
+                complement_genus_data(member, "k3").module
+                == LatticeDiscriminant(rescale(member.lattice, -1)).module,
+                f"complement module of ({d},{n}) must match LatticeDiscriminant of L(-1)",
             )
 
 

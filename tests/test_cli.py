@@ -15,6 +15,8 @@ import pytest
 from latfm import cli
 from latfm.arith import MR_LIMIT, prime_factorization
 from latfm.cli import run
+from latfm.discriminant import cyclic_module
+from latfm.family import GenusData
 from latfm.lattices import Lattice
 import latfm.fmcount
 import latfm.selfcheck
@@ -485,6 +487,22 @@ class TestSelftest:
         by_name = {r.name: r for r in results}
         assert not by_name["builtin-lattice-invariants"].passed
         assert "U must" in by_name["builtin-lattice-invariants"].detail
+
+    def test_complement_module_checked_field_for_field(self, monkeypatch):
+        # the negated closed form is a module isometric to A(K), but in
+        # other generator coordinates than the Smith form of -G gives
+        real = latfm.selfcheck.complement_genus_data
+
+        def negated(member, ambient):
+            data = real(member, ambient)
+            n = member.n
+            module = cyclic_module(n * n, 2 * member.d, generator=(n, -2 * member.d))
+            return GenusData(signature=data.signature, module=module)
+
+        monkeypatch.setattr(latfm.selfcheck, "complement_genus_data", negated)
+        by_name = {r.name: r for r in run_selftest(5)}
+        assert not by_name["rank2-closed-form-vs-snf"].passed
+        assert by_name["rank2-closed-form-vs-snf"].detail.startswith("complement module of (")
 
     def test_corrupted_builtin_fails_the_command(self, monkeypatch):
         monkeypatch.setattr(latfm.selfcheck, "U", Lattice(((1, 0), (0, -1))))

@@ -8,6 +8,7 @@ import pytest
 from latfm import discriminant, family, intmat, lattices
 from latfm.cli import run
 from latfm.discriminant import (
+    TRIVIAL_MODULE,
     LatticeDiscriminant,
     cyclic_module,
     discriminant_module,
@@ -329,6 +330,63 @@ class TestComplementModuleStructure:
         )
 
 
+class TestComplementModuleBySmithForm:
+    @staticmethod
+    def same_module(data, member):
+        # K = L_{d,n}(-1) as a Lattice, read through LatticeDiscriminant:
+        # the route the 2x2 Smith form replaces
+        module = LatticeDiscriminant(rescale(member.lattice, -1)).module
+        assert data.module.factors == module.factors
+        assert data.module.generators == module.generators
+        assert data.module.gram == module.gram
+        assert data.module.even == module.even
+
+    @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+    def test_split_grid(self, ambient):
+        checked = 0
+        for count, d in SPLIT_GRID:
+            for member in build_family(count, d, ambient).members:
+                self.same_module(complement_genus_data(member, ambient), member)
+                checked += 1
+        assert checked == 348
+
+    def test_every_coprime_n_up_to_60(self):
+        # composite n (9, 15, 21, 25, ...) and n = 1 included
+        checked = 0
+        for d in range(1, 13):
+            for n in range(1, 61):
+                if gcd(2 * d, n) == 1:
+                    member = make_member(d, n)
+                    for ambient in AMBIENTS:
+                        self.same_module(complement_genus_data(member, ambient), member)
+                    checked += 1
+        assert checked == 301
+
+    def test_n1_is_trivial(self):
+        for d in (1, 2, 7):
+            data = complement_genus_data(make_member(d, 1), "k3")
+            assert data.module == TRIVIAL_MODULE
+            assert data.signature == Signature(2, 18)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            # V's column 1 plus column 0: -G v is not 0 mod f
+            lambda u, d, v: (u, d, ((v[0][0], v[0][0] + v[0][1]), (v[1][0], v[1][0] + v[1][1]))),
+            # V's column 1 times 3: -G v = 0 mod f, but gcd(v, f) = 3
+            lambda u, d, v: (u, d, ((v[0][0], 3 * v[0][1]), (v[1][0], 3 * v[1][1]))),
+            # D[1][1] = 3 in place of 9: v / 3 has order 3, not |A(K)| = 9
+            lambda u, d, v: (u, ((1, 0), (0, 3)), v),
+        ],
+        ids=["not-dual", "not-primitive", "wrong-order"],
+    )
+    def test_wrong_smith_form_raises(self, monkeypatch, wrong):
+        snf = intmat.smith_normal_form
+        monkeypatch.setattr(family, "smith_normal_form", lambda m: wrong(*snf(m)))
+        with pytest.raises(LatfmError, match="^Smith generator of the complement"):
+            complement_genus_data(make_member(1, 3), "k3")
+
+
 def _complement_in_the_ambient(member, ambient):
     """Signature and module of the complement built in the full ambient (a
     20x20 Gram in K3): the path that the split K + W replaces."""
@@ -404,6 +462,7 @@ class TestComplementBySplitting:
         snf = watch("snf", intmat.smith_normal_form)
         monkeypatch.setattr(intmat, "smith_normal_form", snf)
         monkeypatch.setattr(discriminant, "smith_normal_form", snf)
+        monkeypatch.setattr(family, "smith_normal_form", snf)
         monkeypatch.setattr(
             lattices, "_signature_of_gram", watch("signature", lattices._signature_of_gram)
         )

@@ -108,8 +108,10 @@ def test_double_cosets_compose_matrices_not_module_isometries(cold_memos):
 def test_family_searches_modules_only_for_its_attestations():
     # three members: three pairs to attest; each member's closed form is
     # checked through its generator, each complement is L_{d,n}(-1) and the
-    # embedding is primitive by its basis, so a member costs one SNF, for
-    # its complement's module
+    # embedding is primitive by its basis, so a member costs one 2x2 SNF,
+    # for its complement's module, and one Lattice, its own: the module is
+    # read off the Smith form with no LatticeDiscriminant and no rescaled
+    # Lattice of the complement
     for ambient in ("k3", "abelian"):
         argv = ["family", "--count", "3", "--degree", "2", "--ambient", ambient, "--json"]
         plain = io.StringIO()
@@ -127,7 +129,8 @@ def test_family_searches_modules_only_for_its_attestations():
         assert metrics["intmat.snf.calls"] == 3
         assert metrics["intmat.hnf.calls"] == 0
         assert metrics["lattices.orthogonal_complement.calls"] == 0
-        assert metrics["discriminant.lattice_discriminant.calls"] == 3
+        assert metrics["discriminant.lattice_discriminant.calls"] == 0
+        assert metrics["lattices.lattice_init.calls"] == 3
 
 
 def test_each_isotropic_quotient_inverts_one_matrix(monkeypatch):
