@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from .binary import search_outcome
 from .discriminant import discriminant_module
 from .errors import BudgetExhaustedError, LatfmError
 from .family import build_family, polarization_orbits_in_u
@@ -23,7 +24,7 @@ from .mukai import (
     enumerate_mukai_vectors,
     moduli_lattice_shadow,
 )
-from .oracle import SearchBudget, find_isometry_bounded
+from .oracle import SearchBudget
 from .selfcheck import run_selftest
 
 USAGE_ERROR = 2
@@ -292,7 +293,7 @@ def _cmd_isometry(args, out) -> int:
         if value < 1:
             raise UsageError(f"{flag} must be a positive integer, got {value}")
     budget = SearchBudget(entry_bound=args.budget_entries, node_limit=args.budget_nodes)
-    witness = find_isometry_bounded(l1, l2, budget)
+    witness = search_outcome(l1, l2, budget)
     if witness is None:
         payload = {"isometric": False, "reason": "invariant mismatch"}
     else:

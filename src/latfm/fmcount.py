@@ -2,9 +2,8 @@
 
 Two independent routes are provided: the closed form 2^(p(d)-1) and the
 double-coset sum over the genus.  The rank-one class <2d> goes through the
-same genus sum as explicit members, with O(A) from the cyclic module search
-(the units a mod 2d with a^2 = 1 mod 4d).  The two must agree; tests and the
-selftest enforce it.
+same genus sum as explicit members, with O(A) the units a mod 2d with
+a^2 = 1 mod 4d.  The two must agree; tests and the selftest enforce it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,9 @@ from .arith import (  # noqa: F401
     is_prime,
     least_prime_above,
     prime_factorization,
+    unit_square_roots,
 )
+from .binary import isometries, square_root_of_discriminant
 from .discriminant import (
     FiniteQuadraticModule,
     LatticeDiscriminant,
@@ -102,9 +103,10 @@ def fm_count_genus_sum(
     """Sum of |O(S)\\O(A_S)/G| over the supplied genus members.
 
     Genus enumeration itself is out of scope: the caller supplies the members.
-    The image of O(S) in O(A_S) is exact for rank 1 and is approximated by
-    bounded self-isometry enumeration (then closed under composition) for
-    rank 2; higher rank is not supported.
+    The image of O(S) in O(A_S) is exact for rank 1 and for rank 2 with
+    determinant -n^2 (latfm.binary lists every automorph); for other rank-2
+    members it is approximated by bounded self-isometry enumeration (then
+    closed under composition).  Higher rank is not supported.
 
     Each member's term depends only on its Gram matrix and the budget, so it
     is memoized per process on (gram, budget), for up to 1024 keys.  A miss
@@ -124,18 +126,29 @@ def fm_count_genus_sum(
 
 @lru_cache(maxsize=1024)
 def _member_term(gram: Mat, budget: SearchBudget) -> int:
-    """|O(S)\\O(A_S)/G| for the member of rank <= 2 with this Gram matrix."""
+    """|O(S)\\O(A_S)/G| for the member of rank <= 2 with this Gram matrix.
+
+    Elements of O(A_S) go to the coset count as generator matrices; on a
+    cyclic module these are the units ((a,),) with a^2 q = q, read from
+    unit_square_roots, and no ModuleIsometry is built for them."""
     member = Lattice(gram)
     disc = LatticeDiscriminant(member)
-    full = orthogonal_group_of_module(disc.module)
-    side = pm_id_subgroup(disc.module)
+    module = disc.module
+    if module.ell == 1:
+        module.require_even()
+        (f,), ((g,),) = module.factors, module.gram
+        full = [((a,),) for a in unit_square_roots(g, g, f, 2 * f)]
+        side = [((1,),), ((f - 1,),)] if f > 2 else [((1,),)]
+    else:
+        full = [iso.matrix for iso in orthogonal_group_of_module(module)]
+        side = [iso.matrix for iso in pm_id_subgroup(module)]
     if member.rank == 1:
         image = side
     else:
-        witnesses = enumerate_self_isometries(member, budget)
-        actions = [disc.isometry_action(w.matrix).matrix for w in witnesses]
-        image = tuple(
-            ModuleIsometry(disc.module, disc.module, mat)
-            for mat in sorted(closure(actions, disc.module.factors))
-        )
-    return double_coset_count(image, full, side)
+        if square_root_of_discriminant(gram):
+            automorphs = isometries(gram, gram)
+        else:
+            automorphs = [w.matrix for w in enumerate_self_isometries(member, budget)]
+        actions = [disc.isometry_action(mat).matrix for mat in automorphs]
+        image = sorted(closure(actions, module.factors))
+    return double_coset_count(image, full, side, module.factors)

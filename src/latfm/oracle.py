@@ -191,9 +191,18 @@ def find_isometry_bounded(
         if not witness.holds():
             raise LatfmError("search produced an invalid witness")
         return witness
-    raise nodes.exhausted(
+    raise no_witness_within(budget, nodes.count)
+
+
+def no_witness_within(budget: SearchBudget, nodes: int | None = None) -> BudgetExhaustedError:
+    """The error of a search that ended without a witness inside the entry
+    bound; nodes is None when the answer came without a search."""
+    return BudgetExhaustedError(
         f"no isometry with entries bounded by {budget.entry_bound}; "
-        "absence within the budget does not prove non-isometry"
+        "absence within the budget does not prove non-isometry",
+        nodes=nodes,
+        entry_bound=budget.entry_bound,
+        node_limit=budget.node_limit,
     )
 
 
@@ -224,10 +233,10 @@ def units_with_square_one(m: int) -> tuple[int, ...]:
     )
 
 
-def _as_group(isos, full_index) -> list[int]:
+def _as_group(mats, full_index) -> list[int]:
     indices = []
-    for iso in isos:
-        idx = full_index.get(iso.matrix)
+    for mat in mats:
+        idx = full_index.get(mat)
         if idx is None:
             raise NotSubgroupError("element does not belong to the full group")
         indices.append(idx)
@@ -285,10 +294,14 @@ def closure(gens, factors, within=None):
     return reached
 
 
-def double_coset_count(left, full, right) -> int:
+def double_coset_count(left, full, right, factors=None) -> int:
     """Number of orbits of `full` under x -> l.x.r over the subgroups `left`
     and `right` (union-find on the finite element list); an empty side is
-    not a subgroup and raises NotSubgroupError."""
+    not a subgroup and raises NotSubgroupError.
+
+    The elements are ModuleIsometry automorphisms of one module or, when
+    the module's invariant `factors` are given, their generator matrices,
+    such as ((a,),) for the unit a of a cyclic module."""
     full = list(full)
     left = list(left)
     right = list(right)
@@ -297,21 +310,22 @@ def double_coset_count(left, full, right) -> int:
     # closure alone would pass an empty side, which holds no identity
     if not left or not right:
         raise NotSubgroupError("factor is empty")
-    module = full[0].source
-    for iso in itertools.chain(full, left, right):
-        if iso.source != module or iso.target != module:
-            raise LatfmError("double cosets need automorphisms of one module")
-    mats = [iso.matrix for iso in full]
-    full_index = {mat: i for i, mat in enumerate(mats)}
+    if factors is None:
+        module = full[0].source
+        for iso in itertools.chain(full, left, right):
+            if iso.source != module or iso.target != module:
+                raise LatfmError("double cosets need automorphisms of one module")
+        factors = module.factors
+        full, left, right = ([iso.matrix for iso in side] for side in (full, left, right))
+    full_index = {mat: i for i, mat in enumerate(full)}
     if len(full_index) != len(full):
         raise LatfmError("full group contains duplicates")
-    factors = module.factors
-    if closure(mats, factors, within=full_index) is None:
+    if closure(full, factors, within=full_index) is None:
         raise NotSubgroupError("full set is not closed under composition")
     left_idx = set(_as_group(left, full_index))
     right_idx = set(_as_group(right, full_index))
     for idx_set in (left_idx, right_idx):
-        side = [mats[i] for i in sorted(idx_set)]
+        side = [full[i] for i in sorted(idx_set)]
         if closure(side, factors, within=set(side)) is None:
             raise NotSubgroupError("factor is not closed under composition")
     compose = _composer(factors)
@@ -328,9 +342,9 @@ def double_coset_count(left, full, right) -> int:
         if rx != ry:
             parent[ry] = rx
 
-    for i, x in enumerate(mats):
+    for i, x in enumerate(full):
         for li in left_idx:
-            lx = compose(mats[li], x)
+            lx = compose(full[li], x)
             for ri in right_idx:
-                union(i, full_index[compose(lx, mats[ri])])
+                union(i, full_index[compose(lx, full[ri])])
     return len({find(i) for i in range(len(full))})

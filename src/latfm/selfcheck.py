@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
+from .binary import isometries, search_outcome
 from .discriminant import (
     LatticeDiscriminant,
     discriminant_module,
@@ -44,7 +45,7 @@ from .lattices import (
     rescale,
 )
 from .mukai import MUKAI, enumerate_mukai_vectors, moduli_lattice_shadow
-from .oracle import find_isometry_bounded, units_with_square_one
+from .oracle import DEFAULT_BUDGET, find_isometry_bounded, units_with_square_one
 
 # the rank-2 grid (d1, d2 <= GRID_D_MAX, n in GRID_PRIMES), the family size,
 # and the cap on d (and n) of the closed-form and moduli-shadow checks
@@ -269,10 +270,7 @@ def check_rank2_grid(d_max: int):
                 conditions = isometry_necessary_conditions(d1, d2, n)
                 l1 = make_member(d1, n).lattice
                 l2 = make_member(d2, n).lattice
-                try:
-                    witness = find_isometry_bounded(l1, l2)
-                except BudgetExhaustedError:
-                    witness = None
+                witness, exhausted = _bounded_outcome(find_isometry_bounded, l1, l2)
                 if witness is not None:
                     _require(witness.holds(), "oracle witnesses must verify exactly")
                     _require(
@@ -284,6 +282,24 @@ def check_rank2_grid(d_max: int):
                         witness is None,
                         f"certificate for ({d1},{d2},{n}) coexists with a witness",
                     )
+                lane, lane_exhausted = _bounded_outcome(search_outcome, l1, l2)
+                _require(
+                    (lane and lane.matrix, lane_exhausted)
+                    == (witness and witness.matrix, exhausted),
+                    f"exact lane and bounded search disagree at ({d1},{d2},{n})",
+                )
+                _require(
+                    bool(isometries(l1.gram, l2.gram)) == (conditions.a2 or conditions.b2),
+                    f"exact isometries of ({d1},{d2},{n}) contradict the congruences",
+                )
+
+
+def _bounded_outcome(search, l1, l2):
+    """(witness, None) or (None, the exhaustion message) at the default budget."""
+    try:
+        return search(l1, l2, DEFAULT_BUDGET), None
+    except BudgetExhaustedError as exc:
+        return None, str(exc)
 
 
 def check_disc_witness_biconditional(d_max: int):

@@ -504,6 +504,24 @@ class TestSelftest:
         assert not by_name["rank2-closed-form-vs-snf"].passed
         assert by_name["rank2-closed-form-vs-snf"].detail.startswith("complement module of (")
 
+    @pytest.mark.parametrize(
+        "name,corrupt,detail",
+        [
+            # the lane on the swapped pair gives B^-1 where the search gives B
+            ("search_outcome",
+             lambda real: lambda l1, l2, budget: real(l2, l1, budget),
+             "exact lane and bounded search disagree at ("),
+            ("isometries", lambda real: lambda g1, g2: real(g1, g2)[:0],
+             "exact isometries of ("),
+        ],
+        ids=["lane", "candidates"],
+    )
+    def test_exact_lane_checked_against_the_search(self, monkeypatch, name, corrupt, detail):
+        monkeypatch.setattr(latfm.selfcheck, name, corrupt(getattr(latfm.selfcheck, name)))
+        by_name = {r.name: r for r in run_selftest(5)}
+        assert not by_name["rank2-necessity-grid"].passed
+        assert by_name["rank2-necessity-grid"].detail.startswith(detail)
+
     def test_corrupted_builtin_fails_the_command(self, monkeypatch):
         monkeypatch.setattr(latfm.selfcheck, "U", Lattice(((1, 0), (0, -1))))
         code, out, _ = invoke(["selftest", "--range-d", "5"])

@@ -3,7 +3,9 @@ from math import gcd
 
 import pytest
 
+from latfm import fmcount
 from latfm.discriminant import (
+    LatticeDiscriminant,
     ModuleIsometry,
     discriminant_module,
     orthogonal_group_of_module,
@@ -20,7 +22,14 @@ from latfm.fmcount import (
     unitary_divisors,
 )
 from latfm.lattices import U, direct_sum, make_lattice
-from latfm.oracle import SearchBudget, closure, units_with_square_one
+from latfm.oracle import (
+    DEFAULT_BUDGET,
+    SearchBudget,
+    closure,
+    double_coset_count,
+    enumerate_self_isometries,
+    units_with_square_one,
+)
 
 
 class TestPrimeHelpers:
@@ -176,3 +185,75 @@ def test_closure_through_generators_matches_mulclose():
             expected = [iso.matrix for iso in mulclose(gens)]
             reached = closure([iso.matrix for iso in gens], factors)
             assert sorted(reached) == expected, (gram, [g.matrix for g in gens])
+
+
+def module_isometry_term(gram, budget=DEFAULT_BUDGET):
+    """A member's term as _member_term computed it before it counted on
+    residues: O(A), +-1 and the O(S) image as ModuleIsometry objects, O(S)
+    from the bounded enumeration for every rank-2 member."""
+    member = make_lattice(gram)
+    disc = LatticeDiscriminant(member)
+    module = disc.module
+    full = orthogonal_group_of_module(module)
+    side = pm_id_subgroup(module)
+    if member.rank == 1:
+        image = side
+    else:
+        actions = [disc.isometry_action(w.matrix).matrix
+                   for w in enumerate_self_isometries(member, budget)]
+        image = tuple(ModuleIsometry(module, module, mat)
+                      for mat in sorted(closure(actions, module.factors)))
+    return double_coset_count(image, full, side)
+
+
+class TestMemberTermOnResidues:
+    """The residue path of _member_term against the ModuleIsometry path it
+    replaced: every <2d> with d <= 3000 (both signs), the rank-2 pools of the
+    oracle benchmark, and L_{d,n} for n <= 12, 1 <= |d| <= 12."""
+
+    def test_rank_one(self):
+        for d in range(1, 3001):
+            for sign in (1, -1):
+                gram = ((sign * 2 * d,),)
+                assert fmcount._member_term(gram, DEFAULT_BUDGET) == \
+                    module_isometry_term(gram), gram
+
+    def test_rank_two(self):
+        grams = [((2, 1), (1, 2)), ((2, 0), (0, 2)), ((4, 0), (0, 4)), ((2, 0), (0, 4)),
+                 ((0, 1), (1, 0)), ((2, 1), (1, 4)), ((2, 0), (0, 6))]
+        grams += [((2 * d, n), (n, 0)) for n in range(1, 13) for d in range(-12, 13)
+                  if d and gcd(2 * d, n) == 1]
+        for gram in grams:
+            assert fmcount._member_term(gram, DEFAULT_BUDGET) == \
+                module_isometry_term(gram), gram
+
+    @pytest.mark.parametrize("gram", [((3,),), ((-5,),), ((1, 0), (0, -4)),
+                                      ((1, 2), (2, 0)), ((2, 1), (1, 3)), ((1,),)])
+    def test_odd_members(self, gram):
+        # q is undefined on an odd module: both paths raise the same error,
+        # except on a trivial module, where both count one coset
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except LatfmError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(fmcount._member_term, gram, DEFAULT_BUDGET) == \
+            outcome(module_isometry_term, gram)
+
+    def test_cyclic_members_build_no_module_isometry(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ModuleIsometry was built")
+
+        monkeypatch.setattr(ModuleIsometry, "__init__", refuse)
+        assert fm_count_genus_sum([make_lattice([[2 * 510510]])]) == 64
+        assert fm_count_genus_sum([make_lattice([[2 * 23 * 29]])]) == 2
+
+    @pytest.mark.parametrize("gram", [[[68, 15], [15, 0]], [[-68, 15], [15, 0]],
+                                      [[68, 21], [21, 0]], [[-68, 21], [21, 0]]])
+    def test_automorph_outside_the_default_box(self, gram):
+        # O(S) holds an automorph with an entry of 55 or 77, which the bounded
+        # enumeration at entries <= 50 misses; it maps onto -1 on A, so the
+        # exact term is 1 where the bounded image gave 2
+        assert fm_count_genus_sum([make_lattice(gram)]) == 1
+        assert module_isometry_term(tuple(map(tuple, gram))) == 2

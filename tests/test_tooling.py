@@ -10,6 +10,8 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
 import latfm.arith
 import latfm.cli  # noqa: F401  (loads every latfm module)
 import latfm.fmcount
@@ -98,11 +100,30 @@ def test_double_cosets_compose_matrices_not_module_isometries(cold_memos):
     code, traced, metrics = traced_run(argv)
     assert code == 0 and traced == plain.getvalue()
     assert metrics["oracle.double_coset.calls"] == 1
-    assert metrics["discriminant.module_isometry.calls"] < 1000
+    # O(A), +-1 and the image go to the kernel as units ((a,),)
+    assert metrics["discriminant.module_isometry.calls"] == 0
     # warm: the member's term comes from the memo of this process
     code, warm, metrics = traced_run(argv)
     assert code == 0 and warm == plain.getvalue()
     assert metrics["oracle.double_coset.calls"] == 0
+
+
+@pytest.mark.parametrize(
+    "gram1,gram2,searches",
+    [
+        ("[[2,5],[5,0]]", "[[12,5],[5,0]]", 0),  # det -25: a witness
+        ("[[2,17],[17,0]]", "[[8,17],[17,0]]", 0),  # det -289: none within 50
+        ("[[2,1],[1,2]]", "[[2,-1],[-1,2]]", 1),  # det 3
+        ("[[2,5],[5,0]]", "[[4,7],[7,0]]", 1),  # two determinants: the screen
+    ],
+)
+def test_square_discriminant_isometries_need_no_search(gram1, gram2, searches):
+    argv = ["isometry", "--gram1", gram1, "--gram2", gram2, "--json"]
+    plain = io.StringIO()
+    expected = latfm.cli.run(argv, plain, io.StringIO())
+    code, traced, metrics = traced_run(argv)
+    assert (code, traced) == (expected, plain.getvalue())
+    assert metrics["oracle.find_isometry.calls"] == searches
 
 
 def test_family_searches_modules_only_for_its_attestations():
