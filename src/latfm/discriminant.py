@@ -5,6 +5,12 @@ and one symmetric integer matrix over the exponent e (the last factor):
 b(g_i, g_j) = gram[i][j] / e mod Z and, on an even module,
 q(g_i) = gram[i][i] / e mod 2Z.  Entries are canonicalized into [0, e), the
 diagonal of an even module into [0, 2e), so printed forms are unique.
+
+An automorphism of one module is its generator matrix: a tuple of rows,
+column j the image of generator j, row i reduced mod factors[i].  The
+orthogonal group, the searches behind it and the action of a lattice
+isometry all return such matrices.  A ModuleIsometry, which carries its
+source and target, is built only where a caller keeps the map.
 """
 
 from __future__ import annotations
@@ -203,16 +209,14 @@ class LatticeDiscriminant:
             for row, f in zip(self._rows, self.module.factors)
         )
 
-    def isometry_action(self, matrix: Mat) -> "ModuleIsometry":
-        """Induced automorphism of the discriminant module of a lattice
-        self-isometry given in column convention."""
+    def isometry_action(self, matrix: Mat) -> Mat:
+        """Generator matrix of the automorphism of the discriminant module
+        induced by a lattice self-isometry given in column convention."""
         cols = [
             self.coords(mat_vec(matrix, col), f)
             for col, f in zip(self.module.generators, self.module.factors)
         ]
-        k = len(cols)
-        mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-        return ModuleIsometry(self.module, self.module, mat)
+        return tuple(zip(*cols))
 
 
 def discriminant_module(lattice: Lattice) -> FiniteQuadraticModule:
@@ -236,7 +240,7 @@ class ModuleIsometry:
     """Homomorphism between finite quadratic modules in generator coordinates:
     column j is the image of the j-th source generator.
 
-    Instances produced by the search routines preserve q; the gamma
+    The witness of is_isometric_modules preserves q; the gamma
     correspondence for complements produces the sign-flipped (anti-isometric)
     variant, checked by verify_anti_isometry.
     """
@@ -299,19 +303,20 @@ def _generates(module: FiniteQuadraticModule, elems) -> bool:
     return all(x == 1 for x in invariant_factors(rows))
 
 
-def identity_isometry(module: FiniteQuadraticModule) -> ModuleIsometry:
+def scalar_matrix(module: FiniteQuadraticModule, c: int) -> Mat:
+    """Generator matrix of x -> c x on the module."""
     k = module.ell
-    mat = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    return ModuleIsometry(module, module, mat)
+    return tuple(
+        (0,) * i + (c % f,) + (0,) * (k - 1 - i) for i, f in enumerate(module.factors)
+    )
+
+
+def identity_isometry(module: FiniteQuadraticModule) -> ModuleIsometry:
+    return ModuleIsometry(module, module, scalar_matrix(module, 1))
 
 
 def negation_isometry(module: FiniteQuadraticModule) -> ModuleIsometry:
-    k = module.ell
-    mat = tuple(
-        tuple((-1 if i == j else 0) % module.factors[i] for j in range(k))
-        for i in range(k)
-    )
-    return ModuleIsometry(module, module, mat)
+    return ModuleIsometry(module, module, scalar_matrix(module, -1))
 
 
 def _scales_forms(iso: ModuleIsometry, sign: int) -> bool:
@@ -359,9 +364,10 @@ def _isometry_search(
     a2: FiniteQuadraticModule,
     find_all: bool,
 ):
-    """Cyclic modules: the unit square roots in ascending order.  Otherwise
-    backtracking over generator images; candidates are enumerated in
-    lexicographic element order, so the first witness found is canonical."""
+    """Generator matrices of the isometries a1 -> a2.  Cyclic modules: the
+    unit square roots in ascending order.  Otherwise backtracking over
+    generator images; candidates are enumerated in lexicographic element
+    order, so the first witness found is canonical."""
     a1.require_even()
     a2.require_even()
     results = []
@@ -374,7 +380,7 @@ def _isometry_search(
             f"module order {a1.order} exceeds bound {DEFAULT_ORDER_BOUND}"
         )
     if k == 0:
-        return [ModuleIsometry(a1, a2, ())]
+        return [()]
     if k == 1:
         # q_i = g_i / f: alpha^2 q2 = q1 mod 2Z iff alpha^2 g2 = g1 mod 2f,
         # which is well defined mod f because f g_i is even
@@ -382,17 +388,15 @@ def _isometry_search(
         roots = unit_square_roots(a2.gram[0][0], a1.gram[0][0], f, 2 * f)
         if not find_all:
             roots = roots[:1]
-        return [ModuleIsometry(a1, a2, ((alpha,),)) for alpha in roots]
+        return [((alpha,),) for alpha in roots]
     buckets = _element_buckets(a2)
     chosen: list = []
 
     def extend(i: int):
         if i == k:
-            cols = list(chosen)
-            mat = tuple(tuple(cols[j][r] for j in range(k)) for r in range(k))
-            iso = ModuleIsometry(a1, a2, mat)
-            if iso.is_bijective():
-                results.append(iso)
+            # each image has its generator's order, so the map is well defined
+            if _generates(a2, chosen):
+                results.append(tuple(zip(*chosen)))
                 return not find_all
             return False
         for cand in buckets.get((a1.factors[i], a1.gram[i][i]), ()):
@@ -419,13 +423,12 @@ def is_isometric_modules(
     with pruning on (order, q) and b, refused above DEFAULT_ORDER_BOUND.
     """
     found = _isometry_search(a1, a2, find_all=False)
-    return found[0] if found else None
+    return ModuleIsometry(a1, a2, found[0]) if found else None
 
 
-def orthogonal_group_of_module(module: FiniteQuadraticModule) -> tuple[ModuleIsometry, ...]:
-    """All q-preserving automorphisms, sorted by matrix."""
-    group = _isometry_search(module, module, find_all=True)
-    return tuple(sorted(group, key=lambda iso: iso.matrix))
+def orthogonal_group_of_module(module: FiniteQuadraticModule) -> tuple[Mat, ...]:
+    """Generator matrices of all q-preserving automorphisms, sorted."""
+    return tuple(sorted(_isometry_search(module, module, find_all=True)))
 
 
 def gamma_complement_map(

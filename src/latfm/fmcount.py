@@ -10,22 +10,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-# is_prime and least_prime_above stay importable from here: callers and the
-# benchmark's tracer (perfbench/spans.py) name them as latfm.fmcount members
-from .arith import (  # noqa: F401
-    is_prime,
-    least_prime_above,
-    prime_factorization,
-    unit_square_roots,
-)
+# is_prime stays importable from here for the benchmark's tracer
+# (perfbench/spans.py), which names it and prime_factorization as members
+from .arith import is_prime, prime_factorization  # noqa: F401
 from .binary import isometries, square_root_of_discriminant
 from .discriminant import (
     FiniteQuadraticModule,
     LatticeDiscriminant,
-    ModuleIsometry,
-    identity_isometry,
-    negation_isometry,
     orthogonal_group_of_module,
+    scalar_matrix,
 )
 from .errors import LatfmError, RankUnsupportedError
 from .intmat import Mat
@@ -74,16 +67,15 @@ def fm_count_rho1_with_p(d: int) -> tuple[int, int]:
     return p, 2 ** (p - 1)
 
 
-def pm_id_subgroup(module: FiniteQuadraticModule) -> tuple[ModuleIsometry, ...]:
-    """The subgroup {+-id} of O(A).
+def pm_id_subgroup(module: FiniteQuadraticModule) -> tuple[Mat, ...]:
+    """The generator matrices of the subgroup {+-id} of O(A).
 
     For Picard number 1 this is the image of the Hodge-isometry group on the
     discriminant; the library supplies it as a constant rather than computing
     anything from periods.
     """
-    ident = identity_isometry(module)
-    neg = negation_isometry(module)
-    return (ident,) if neg.matrix == ident.matrix else (ident, neg)
+    ident, neg = scalar_matrix(module, 1), scalar_matrix(module, -1)
+    return (ident,) if neg == ident else (ident, neg)
 
 
 def fm_count_rho1_via_cosets(d: int) -> int:
@@ -126,22 +118,13 @@ def fm_count_genus_sum(
 
 @lru_cache(maxsize=1024)
 def _member_term(gram: Mat, budget: SearchBudget) -> int:
-    """|O(S)\\O(A_S)/G| for the member of rank <= 2 with this Gram matrix.
-
-    Elements of O(A_S) go to the coset count as generator matrices; on a
-    cyclic module these are the units ((a,),) with a^2 q = q, read from
-    unit_square_roots, and no ModuleIsometry is built for them."""
+    """|O(S)\\O(A_S)/G| for the member of rank <= 2 with this Gram matrix,
+    counted on generator matrices; no ModuleIsometry is built."""
     member = Lattice(gram)
     disc = LatticeDiscriminant(member)
     module = disc.module
-    if module.ell == 1:
-        module.require_even()
-        (f,), ((g,),) = module.factors, module.gram
-        full = [((a,),) for a in unit_square_roots(g, g, f, 2 * f)]
-        side = [((1,),), ((f - 1,),)] if f > 2 else [((1,),)]
-    else:
-        full = [iso.matrix for iso in orthogonal_group_of_module(module)]
-        side = [iso.matrix for iso in pm_id_subgroup(module)]
+    full = orthogonal_group_of_module(module)
+    side = pm_id_subgroup(module)
     if member.rank == 1:
         image = side
     else:
@@ -149,6 +132,6 @@ def _member_term(gram: Mat, budget: SearchBudget) -> int:
             automorphs = isometries(gram, gram)
         else:
             automorphs = [w.matrix for w in enumerate_self_isometries(member, budget)]
-        actions = [disc.isometry_action(mat).matrix for mat in automorphs]
+        actions = [disc.isometry_action(mat) for mat in automorphs]
         image = sorted(closure(actions, module.factors))
     return double_coset_count(image, full, side, module.factors)

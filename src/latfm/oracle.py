@@ -294,14 +294,13 @@ def closure(gens, factors, within=None):
     return reached
 
 
-def double_coset_count(left, full, right, factors=None) -> int:
+def double_coset_count(left, full, right, factors) -> int:
     """Number of orbits of `full` under x -> l.x.r over the subgroups `left`
     and `right` (union-find on the finite element list); an empty side is
     not a subgroup and raises NotSubgroupError.
 
-    The elements are ModuleIsometry automorphisms of one module or, when
-    the module's invariant `factors` are given, their generator matrices,
-    such as ((a,),) for the unit a of a cyclic module."""
+    The elements are generator matrices of automorphisms of the module with
+    invariant `factors`, such as ((a,),) for the unit a of a cyclic module."""
     full = list(full)
     left = list(left)
     right = list(right)
@@ -310,13 +309,6 @@ def double_coset_count(left, full, right, factors=None) -> int:
     # closure alone would pass an empty side, which holds no identity
     if not left or not right:
         raise NotSubgroupError("factor is empty")
-    if factors is None:
-        module = full[0].source
-        for iso in itertools.chain(full, left, right):
-            if iso.source != module or iso.target != module:
-                raise LatfmError("double cosets need automorphisms of one module")
-        factors = module.factors
-        full, left, right = ([iso.matrix for iso in side] for side in (full, left, right))
     full_index = {mat: i for i, mat in enumerate(full)}
     if len(full_index) != len(full):
         raise LatfmError("full group contains duplicates")

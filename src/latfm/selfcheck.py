@@ -44,7 +44,12 @@ from .lattices import (
     orthogonal_complement,
     rescale,
 )
-from .mukai import MUKAI, enumerate_mukai_vectors, moduli_lattice_shadow
+from .mukai import (
+    MUKAI,
+    class_representatives,
+    enumerate_mukai_vectors,
+    moduli_lattice_shadow,
+)
 from .oracle import DEFAULT_BUDGET, find_isometry_bounded, units_with_square_one
 
 # the rank-2 grid (d1, d2 <= GRID_D_MAX, n in GRID_PRIMES), the family size,
@@ -184,9 +189,8 @@ def check_orthogonal_group(d_max: int):
     for d in (1, 2, 4, 6, 12, 30):
         module = discriminant_module(Lattice(((2 * d,),)))
         group = orthogonal_group_of_module(module)
-        matrices = {iso.matrix for iso in group}
-        _require(identity_isometry(module).matrix in matrices, "O(A) must contain id")
-        _require(negation_isometry(module).matrix in matrices, "O(A) must contain -id")
+        _require(identity_isometry(module).matrix in group, "O(A) must contain id")
+        _require(negation_isometry(module).matrix in group, "O(A) must contain -id")
         expected = 1 if d == 1 else 2 ** distinct_prime_count(d)
         _require(
             len(group) == expected,
@@ -230,8 +234,6 @@ def check_gamma(d_max: int):
 
 
 def check_mukai_vectors(d_max: int):
-    from .mukai import class_representatives
-
     for d in range(1, d_max + 1):
         vectors = enumerate_mukai_vectors(d)
         for v in vectors:

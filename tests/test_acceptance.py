@@ -82,7 +82,7 @@ def test_criterion_2_orthogonal_group_order():
             assert len(units) == 2 ** distinct_prime_count(d)
             module = discriminant_module(make_lattice([[2 * d]]))
             group = orthogonal_group_of_module(module)
-            assert tuple(g.matrix[0][0] for g in group) == units
+            assert tuple(g[0][0] for g in group) == units
 
 
 def test_criterion_3_mukai_enumeration():

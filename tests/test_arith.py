@@ -68,9 +68,9 @@ def test_cyclic_search_matches_the_scan_on_every_small_module():
                 expected = scan.get(q1, [])
                 a1, a2 = modules[q1], modules[q2]
                 every = _isometry_search(a1, a2, find_all=True)
-                assert [iso.matrix[0][0] for iso in every] == expected, (m, q1, q2)
+                assert [mat[0][0] for mat in every] == expected, (m, q1, q2)
                 least = _isometry_search(a1, a2, find_all=False)
-                assert [iso.matrix[0][0] for iso in least] == expected[:1]
+                assert [mat[0][0] for mat in least] == expected[:1]
 
 
 def test_disc_witness_matches_the_scan():

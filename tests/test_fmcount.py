@@ -4,9 +4,11 @@ from math import gcd
 import pytest
 
 from latfm import fmcount
+from latfm.arith import least_prime_above
 from latfm.discriminant import (
     LatticeDiscriminant,
     ModuleIsometry,
+    compose_matrices,
     discriminant_module,
     orthogonal_group_of_module,
 )
@@ -16,7 +18,6 @@ from latfm.fmcount import (
     fm_count_genus_sum,
     fm_count_rho1,
     fm_count_rho1_via_cosets,
-    least_prime_above,
     pm_id_subgroup,
     prime_power_blocks,
     unitary_divisors,
@@ -26,7 +27,6 @@ from latfm.oracle import (
     DEFAULT_BUDGET,
     SearchBudget,
     closure,
-    double_coset_count,
     enumerate_self_isometries,
     units_with_square_one,
 )
@@ -95,7 +95,7 @@ class TestCosetRoute:
         # the units realize exactly the orthogonal group found by search
         for d in (2, 6, 12, 30):
             module = discriminant_module(make_lattice([[2 * d]]))
-            searched = {g.matrix[0][0] for g in orthogonal_group_of_module(module)}
+            searched = {g[0][0] for g in orthogonal_group_of_module(module)}
             assert searched == set(units_with_square_one(2 * d))
 
 
@@ -167,10 +167,11 @@ def test_closure_through_generators_matches_mulclose():
         group = orthogonal_group_of_module(module)
         for _ in range(12):
             gens = rng.sample(group, rng.randint(1, min(3, len(group))))
-            expected = [iso.matrix for iso in mulclose(gens)]
-            reached = closure([iso.matrix for iso in gens], module.factors)
+            expected = [iso.matrix for iso in
+                        mulclose([ModuleIsometry(module, module, g) for g in gens])]
+            reached = closure(gens, module.factors)
             assert len(reached) == len(set(reached))
-            assert sorted(reached) == expected, (gram, [g.matrix for g in gens])
+            assert sorted(reached) == expected, (gram, gens)
         # endomorphisms too, where their monoid is small enough for mulclose:
         # entry (i, j) a multiple of f_i / gcd(f_i, f_j)
         factors = module.factors
@@ -187,10 +188,10 @@ def test_closure_through_generators_matches_mulclose():
             assert sorted(reached) == expected, (gram, [g.matrix for g in gens])
 
 
-def module_isometry_term(gram, budget=DEFAULT_BUDGET):
-    """A member's term as _member_term computed it before it counted on
-    residues: O(A), +-1 and the O(S) image as ModuleIsometry objects, O(S)
-    from the bounded enumeration for every rank-2 member."""
+def enumerated_image_term(gram, budget=DEFAULT_BUDGET):
+    """A member's term with O(S) from the bounded enumeration for every
+    rank-2 member, and the double cosets counted as the distinct sets
+    {l x r}, without the union-find of double_coset_count."""
     member = make_lattice(gram)
     disc = LatticeDiscriminant(member)
     module = disc.module
@@ -199,24 +200,28 @@ def module_isometry_term(gram, budget=DEFAULT_BUDGET):
     if member.rank == 1:
         image = side
     else:
-        actions = [disc.isometry_action(w.matrix).matrix
+        actions = [disc.isometry_action(w.matrix)
                    for w in enumerate_self_isometries(member, budget)]
-        image = tuple(ModuleIsometry(module, module, mat)
-                      for mat in sorted(closure(actions, module.factors)))
-    return double_coset_count(image, full, side)
+        image = closure(actions, module.factors)
+    factors = module.factors
+    return len({
+        frozenset(compose_matrices(compose_matrices(lm, x, factors), r, factors)
+                  for lm in image for r in side)
+        for x in full
+    })
 
 
 class TestMemberTermOnResidues:
-    """The residue path of _member_term against the ModuleIsometry path it
-    replaced: every <2d> with d <= 3000 (both signs), the rank-2 pools of the
-    oracle benchmark, and L_{d,n} for n <= 12, 1 <= |d| <= 12."""
+    """_member_term against the orbit sets of enumerated_image_term: every
+    <2d> with d <= 3000 (both signs), the rank-2 pools of the oracle
+    benchmark, and L_{d,n} for n <= 12, 1 <= |d| <= 12."""
 
     def test_rank_one(self):
         for d in range(1, 3001):
             for sign in (1, -1):
                 gram = ((sign * 2 * d,),)
                 assert fmcount._member_term(gram, DEFAULT_BUDGET) == \
-                    module_isometry_term(gram), gram
+                    enumerated_image_term(gram), gram
 
     def test_rank_two(self):
         grams = [((2, 1), (1, 2)), ((2, 0), (0, 2)), ((4, 0), (0, 4)), ((2, 0), (0, 4)),
@@ -225,7 +230,7 @@ class TestMemberTermOnResidues:
                   if d and gcd(2 * d, n) == 1]
         for gram in grams:
             assert fmcount._member_term(gram, DEFAULT_BUDGET) == \
-                module_isometry_term(gram), gram
+                enumerated_image_term(gram), gram
 
     @pytest.mark.parametrize("gram", [((3,),), ((-5,),), ((1, 0), (0, -4)),
                                       ((1, 2), (2, 0)), ((2, 1), (1, 3)), ((1,),)])
@@ -239,7 +244,7 @@ class TestMemberTermOnResidues:
                 return type(exc), str(exc)
 
         assert outcome(fmcount._member_term, gram, DEFAULT_BUDGET) == \
-            outcome(module_isometry_term, gram)
+            outcome(enumerated_image_term, gram)
 
     def test_cyclic_members_build_no_module_isometry(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -248,6 +253,9 @@ class TestMemberTermOnResidues:
         monkeypatch.setattr(ModuleIsometry, "__init__", refuse)
         assert fm_count_genus_sum([make_lattice([[2 * 510510]])]) == 64
         assert fm_count_genus_sum([make_lattice([[2 * 23 * 29]])]) == 2
+        # non-cyclic modules and a non-square discriminant count on matrices too
+        for gram in ([[2, 0], [0, 2]], [[2, 0], [0, 6]], [[2, 1], [1, 4]]):
+            assert fm_count_genus_sum([make_lattice(gram)]) == 1, gram
 
     @pytest.mark.parametrize("gram", [[[68, 15], [15, 0]], [[-68, 15], [15, 0]],
                                       [[68, 21], [21, 0]], [[-68, 21], [21, 0]]])
@@ -256,4 +264,4 @@ class TestMemberTermOnResidues:
         # enumeration at entries <= 50 misses; it maps onto -1 on A, so the
         # exact term is 1 where the bounded image gave 2
         assert fm_count_genus_sum([make_lattice(gram)]) == 1
-        assert module_isometry_term(tuple(map(tuple, gram))) == 2
+        assert enumerated_image_term(tuple(map(tuple, gram))) == 2

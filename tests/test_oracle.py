@@ -20,7 +20,7 @@ from latfm.errors import (
     NotSubgroupError,
     RankUnsupportedError,
 )
-from latfm.fmcount import fm_count_genus_sum
+from latfm.fmcount import fm_count_genus_sum, pm_id_subgroup
 from latfm.intmat import identity, mat_vec
 from latfm.lattices import make_lattice
 from latfm.oracle import (
@@ -171,28 +171,27 @@ class TestDoubleCosets:
         module = discriminant_module(make_lattice([[12]]))
         full = orthogonal_group_of_module(module)
         assert len(full) == 4
-        side = (identity_isometry(module), negation_isometry(module))
-        assert double_coset_count(side, full, side) == 2
+        side = pm_id_subgroup(module)
+        assert double_coset_count(side, full, side, module.factors) == 2
 
     def test_trivial_full_group(self):
         module = discriminant_module(make_lattice([[2]]))
         full = orthogonal_group_of_module(module)
-        assert double_coset_count(full, full, full) == 1
+        assert double_coset_count(full, full, full, module.factors) == 1
 
     def test_left_right_full(self):
         module = discriminant_module(make_lattice([[12]]))
         full = orthogonal_group_of_module(module)
-        assert double_coset_count(full, full, full) == 1
+        assert double_coset_count(full, full, full, module.factors) == 1
 
     def test_not_subgroup(self):
         module = discriminant_module(make_lattice([[12]]))
         full = orthogonal_group_of_module(module)
-        not_closed = tuple(
-            iso for iso in full if iso.matrix != identity_isometry(module).matrix
-        )[:1]
+        ident = identity_isometry(module).matrix
+        not_closed = tuple(mat for mat in full if mat != ident)[:1]
         # a single non-identity element is not closed under composition
         with pytest.raises(NotSubgroupError):
-            double_coset_count(not_closed, full, (identity_isometry(module),))
+            double_coset_count(not_closed, full, (ident,), module.factors)
 
     @pytest.mark.parametrize("empty_side", ["left", "right"])
     def test_empty_side_is_not_a_subgroup(self, empty_side):
@@ -200,19 +199,20 @@ class TestDoubleCosets:
         module = discriminant_module(make_lattice([[60]]))
         full = orthogonal_group_of_module(module)
         assert len(full) == 8
-        side = (identity_isometry(module), negation_isometry(module))
+        side = pm_id_subgroup(module)
         left, right = ((), side) if empty_side == "left" else (side, ())
         with pytest.raises(NotSubgroupError, match="empty"):
-            double_coset_count(left, full, right)
+            double_coset_count(left, full, right, module.factors)
 
     def test_element_outside_group(self):
+        # x -> 2x on Z/12 is an endomorphism, not an automorphism
         m12 = discriminant_module(make_lattice([[12]]))
-        m4 = discriminant_module(make_lattice([[4]]))
-        with pytest.raises(LatfmError):
+        with pytest.raises(NotSubgroupError, match="does not belong"):
             double_coset_count(
-                (identity_isometry(m4),),
+                (((2,),),),
                 orthogonal_group_of_module(m12),
-                (identity_isometry(m12),),
+                (identity_isometry(m12).matrix,),
+                m12.factors,
             )
 
 
@@ -262,6 +262,8 @@ def all_pairs_double_coset_count(left, full, right):
     full, left, right = list(full), list(left), list(right)
     if not full:
         raise LatfmError("full group is empty")
+    if not left or not right:
+        raise NotSubgroupError("factor is empty")
     module = full[0].source
     for iso in itertools.chain(full, left, right):
         if iso.source != module or iso.target != module:
@@ -478,9 +480,14 @@ class TestMemosColdAndWarm:
 
 
 def closure_outcomes(left, full, right):
+    """The all-pairs count on ModuleIsometry automorphisms of one module,
+    and double_coset_count on their generator matrices."""
+    factors = full[0].source.factors
     return (
         outcome(all_pairs_double_coset_count, left, full, right),
-        outcome(double_coset_count, left, full, right),
+        outcome(double_coset_count,
+                *([iso.matrix for iso in group] for group in (left, full, right)),
+                factors),
     )
 
 
@@ -495,7 +502,9 @@ class TestDoubleCosetsAgainstAllPairs:
 
     def test_noncyclic_groups(self):
         for gram in ([[2, 0], [0, 2]], [[4, 0], [0, 4]], [[2, 0], [0, 4]], [[2, 1], [1, 2]]):
-            full = orthogonal_group_of_module(discriminant_module(make_lattice(gram)))
+            module = discriminant_module(make_lattice(gram))
+            full = [ModuleIsometry(module, module, mat)
+                    for mat in orthogonal_group_of_module(module)]
             old, new = closure_outcomes(full, full, full)
             assert old[0] == "ok" and new == old, gram
 
@@ -504,6 +513,12 @@ class TestDoubleCosetsAgainstAllPairs:
         verdicts = set()
         for d in (30, 60, 105, 210, 420):
             module, full = rank1_orthogonal_group(d)
+            side = (identity_isometry(module), negation_isometry(module))
+            # +-id is a proper subgroup here, and an empty side none at all
+            for args in ((full, side, side), (side, full, ())):
+                old, new = closure_outcomes(*args)
+                assert new == old, d
+                verdicts.add(old[:3])
             for _ in range(40):
                 subset = rng.sample(full, rng.randint(1, len(full) - 1))
                 for args in ((subset, full, full), (full, full, subset),
@@ -511,11 +526,13 @@ class TestDoubleCosetsAgainstAllPairs:
                     old, new = closure_outcomes(*args)
                     assert new == old, (d, [iso.matrix for iso in subset])
                     verdicts.add(old[:3] if old[0] == "error" else "ok")
-        # both verdicts and both closure messages occur on this grid
+        # the count and every subgroup error occur on this grid
         assert verdicts == {
             "ok",
+            ("error", NotSubgroupError, "factor is empty"),
             ("error", NotSubgroupError, "full set is not closed under composition"),
             ("error", NotSubgroupError, "factor is not closed under composition"),
+            ("error", NotSubgroupError, "element does not belong to the full group"),
         }
 
     def test_random_subsets_of_a_noncommutative_monoid(self):
@@ -559,28 +576,3 @@ class TestDoubleCosetsAgainstAllPairs:
         zero = (ModuleIsometry(module, module, ((0,),)),)
         old, new = closure_outcomes(zero, zero, zero)
         assert old == new == ("ok", 1)
-
-    def test_generator_matrices_answer_as_module_isometries(self):
-        # with the module's factors given, the kernel reads bare generator
-        # matrices: every count, closure error and subgroup error unchanged
-        rng = random.Random(78)
-        verdicts = set()
-        for d in (1, 6, 30, 60, 105, 210, 420, 2310):
-            module, full = rank1_orthogonal_group(d)
-            side = (identity_isometry(module), negation_isometry(module))
-            cases = [(side, full, side), (full, full, full), (side, full, ())]
-            for _ in range(20):
-                subset = rng.sample(full, rng.randint(1, len(full)))
-                cases += [(subset, full, full), (full, subset, side), (subset, subset, subset)]
-            for left, whole, right in cases:
-                old = outcome(double_coset_count, left, whole, right)
-                new = outcome(double_coset_count, *([iso.matrix for iso in group]
-                                                    for group in (left, whole, right)),
-                              module.factors)
-                assert new == old, (d, left, whole, right)
-                verdicts.add(old[:3] if old[0] == "error" else "ok")
-        assert {"ok", ("error", NotSubgroupError, "factor is empty"),
-                ("error", NotSubgroupError, "full set is not closed under composition"),
-                ("error", NotSubgroupError, "factor is not closed under composition"),
-                ("error", NotSubgroupError, "element does not belong to the full group"),
-                } <= verdicts
