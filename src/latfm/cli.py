@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 budget exhausted.
-Identical argv always produces byte-identical output.
+Each subcommand and its options are declared once, in COMMANDS: the
+argparse parser is built from it, and a plain argv is read from it without
+argparse.  Exit codes: 0 success, 1 domain error, 2 usage error, 3 budget
+exhausted.  Identical argv always produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -64,11 +66,14 @@ def _parse_gram(text: str) -> Lattice:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise UsageError(f"gram matrix is not valid JSON: {err}")
-    if isinstance(data, dict):
-        data = data.get("gram")
-    if not isinstance(data, list):
+    fields = data if isinstance(data, dict) else {"gram": data}
+    gram = fields.get("gram")
+    if not isinstance(gram, list):
         raise UsageError("expected a JSON matrix or a {\"rank\", \"gram\"} object")
-    return make_lattice(data)
+    rank = fields.get("rank", len(gram))
+    if type(rank) is not int or rank != len(gram):
+        raise UsageError(f"\"rank\" must be the number of rows of \"gram\", {len(gram)}")
+    return make_lattice(gram)
 
 
 def _module_payload(module) -> dict:
@@ -95,9 +100,10 @@ _SCALAR_TEXT = {
 
 def _json_text(value, newline: str = "\n") -> str:
     """json.dumps(value, indent=2) for dicts with str keys, lists, tuples,
-    str, int, bool and None; TypeError for anything else.  `newline` is a
-    newline and the indentation of `value`.  The stdlib's indented encoder
-    is pure Python and costs about twice as much."""
+    str, int, bool and None; TypeError for anything else, subclasses of str
+    and int included.  `newline` is a newline and the indentation of
+    `value`.  The stdlib's indented encoder is pure Python and costs about
+    twice as much."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         return scalar(value)
@@ -121,11 +127,6 @@ def _json_text(value, newline: str = "\n") -> str:
             text = scalar(item) if scalar is not None else _json_text(item, inner)
             items.append(_encode_str(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    # subclasses of str and int, as json.dumps writes them
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -345,6 +346,52 @@ def _cmd_selftest(args, out) -> int:
     return 0 if failed == 0 else DOMAIN_ERROR
 
 
+# (name, help, handler, options), each option a (flag, add_argument keyword
+# arguments) pair in the order of the help.  _read_argv models an option
+# with "action": "store_true", or a store of one value, and only the keys
+# "type", "choices", "default", "required" and "help".
+COMMANDS = (
+    ("fm-count", "partner counts for Picard number 1", _cmd_fm_count, (
+        ("--degree", {"help": "polarization degree 2d (even)"}),
+        ("--range", {"help": "degree range A..B (even endpoints)"}),
+        ("--verify", {"action": "store_true",
+                      "help": "also run the double-coset machinery and compare"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    ("disc", "discriminant module of a lattice", _cmd_disc, (
+        ("--gram", {"required": True,
+                    "help": 'Gram matrix as JSON, e.g. "[[2,3],[3,0]]"'}),
+        ("--json", {"action": "store_true"}),
+    )),
+    ("mukai", "Mukai vectors for a polarization degree", _cmd_mukai, (
+        ("--degree", {"required": True}),
+        ("--classes", {"action": "store_true", "help": "group vectors into swap classes"}),
+        ("--shadow", {"action": "store_true", "help": "compute the moduli lattice shadows"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    ("family", "rank-2 same-genus family", _cmd_family, (
+        ("--count", {"type": int, "required": True}),
+        ("--degree", {"required": True}),
+        ("--ambient", {"choices": ("k3", "abelian"), "default": "k3"}),
+        ("--json", {"action": "store_true"}),
+    )),
+    ("isometry", "bounded isometry search", _cmd_isometry, (
+        ("--gram1", {"required": True}),
+        ("--gram2", {"required": True}),
+        ("--budget-entries", {"type": int, "default": 50}),
+        ("--budget-nodes", {"type": int, "default": 10_000_000}),
+        ("--json", {"action": "store_true"}),
+    )),
+    ("orbits", "polarization orbits in the hyperbolic plane", _cmd_orbits, (
+        ("--degree", {"required": True}),
+        ("--json", {"action": "store_true"}),
+    )),
+    ("selftest", "run the invariant suite", _cmd_selftest, (
+        ("--range-d", {"type": int, "default": 200}),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latfm",
@@ -355,57 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def sub_parser(name, **kwargs):
-        return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
-
-    fm = sub_parser("fm-count", help="partner counts for Picard number 1")
-    fm.add_argument("--degree", help="polarization degree 2d (even)")
-    fm.add_argument("--range", help="degree range A..B (even endpoints)")
-    fm.add_argument("--verify", action="store_true",
-                    help="also run the double-coset machinery and compare")
-    fm.add_argument("--json", action="store_true")
-    fm.set_defaults(handler=_cmd_fm_count)
-
-    disc = sub_parser("disc", help="discriminant module of a lattice")
-    disc.add_argument("--gram", required=True,
-                      help='Gram matrix as JSON, e.g. "[[2,3],[3,0]]"')
-    disc.add_argument("--json", action="store_true")
-    disc.set_defaults(handler=_cmd_disc)
-
-    mukai = sub_parser("mukai", help="Mukai vectors for a polarization degree")
-    mukai.add_argument("--degree", required=True)
-    mukai.add_argument("--classes", action="store_true",
-                       help="group vectors into swap classes")
-    mukai.add_argument("--shadow", action="store_true",
-                       help="compute the moduli lattice shadows")
-    mukai.add_argument("--json", action="store_true")
-    mukai.set_defaults(handler=_cmd_mukai)
-
-    family = sub_parser("family", help="rank-2 same-genus family")
-    family.add_argument("--count", type=int, required=True)
-    family.add_argument("--degree", required=True)
-    family.add_argument("--ambient", choices=("k3", "abelian"), default="k3")
-    family.add_argument("--json", action="store_true")
-    family.set_defaults(handler=_cmd_family)
-
-    isometry = sub_parser("isometry", help="bounded isometry search")
-    isometry.add_argument("--gram1", required=True)
-    isometry.add_argument("--gram2", required=True)
-    isometry.add_argument("--budget-entries", type=int, default=50)
-    isometry.add_argument("--budget-nodes", type=int, default=10_000_000)
-    isometry.add_argument("--json", action="store_true")
-    isometry.set_defaults(handler=_cmd_isometry)
-
-    orbits = sub_parser("orbits", help="polarization orbits in the hyperbolic plane")
-    orbits.add_argument("--degree", required=True)
-    orbits.add_argument("--json", action="store_true")
-    orbits.set_defaults(handler=_cmd_orbits)
-
-    selftest = sub_parser("selftest", help="run the invariant suite")
-    selftest.add_argument("--range-d", type=int, default=200)
-    selftest.set_defaults(handler=_cmd_selftest)
-
+    for name, help_text, handler, options in COMMANDS:
+        sub = subparsers.add_parser(name, allow_abbrev=False, help=help_text)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(handler=handler)
     return parser
 
 
@@ -416,67 +417,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _table_entry(parser: argparse.ArgumentParser, *, top: bool):
-    """(options, fields, required) for a parser whose argv _read_argv can
-    read, else None.  options maps each option string to (action, takes a
-    value, type function), fields holds what parse_args sets before it reads
-    an argument, and required lists the actions that must be given.  At the
-    top level the one positional allowed is the subcommand; below it, none."""
-    if (parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None
-            or parser._mutually_exclusive_groups):
-        return None
-    options, fields, required = {}, {}, []
-    for action in parser._actions:
-        kind = type(action)
-        if (kind is argparse._HelpAction
-                or (top and kind is argparse._SubParsersAction)):
-            pass  # not in options: argparse answers -h and --help
-        elif (top or not action.option_strings
-                or kind not in (argparse._StoreAction, argparse._StoreTrueAction)
-                or (kind is argparse._StoreAction and action.nargs is not None)):
-            return None
-        else:
-            takes_value = kind is argparse._StoreAction
-            convert = action.type and parser._registry_get("type", action.type, action.type)
-            for option in action.option_strings:
-                options[option] = (action, takes_value, convert)
-            if action.required:
-                required.append(action)
-        # parse_args would pass an unread str default through its type
-        if isinstance(action.default, str) and action.type is not None:
-            return None
-        if argparse.SUPPRESS not in (action.dest, action.default):
-            fields.setdefault(action.dest, action.default)
-    for dest, value in parser._defaults.items():
-        fields.setdefault(dest, value)
-    return options, fields, tuple(required)
+def _reader_entry(name, handler, options):
+    """(flags, fields, required) of one COMMANDS entry for _read_argv: flags
+    maps each flag to (dest, takes a value, type, choices), fields is the
+    Namespace content of the bare subcommand, and required holds the flags
+    that must be given."""
+    flags, fields, required = {}, {"command": name}, set()
+    for flag, kwargs in options:
+        dest = flag[2:].replace("-", "_")  # as argparse derives it
+        takes_value = kwargs.get("action") != "store_true"
+        flags[flag] = (dest, takes_value, kwargs.get("type"), kwargs.get("choices"))
+        fields[dest] = kwargs.get("default", None if takes_value else False)
+        if kwargs.get("required"):
+            required.add(flag)
+    fields["handler"] = handler
+    return flags, fields, required
 
 
-@functools.lru_cache(maxsize=1)
-def _argv_table() -> dict:
-    """{subcommand: its _table_entry, fields as parse_args returns them when
-    no option is given} for the parser of this process.  A subcommand with
-    anything the table does not model (a positional, an nargs, a mutually
-    exclusive group, an action other than store and store_true) is left
-    out, so that its argv goes to argparse whole."""
-    parser = _parser()
-    top = _table_entry(parser, top=True)
-    commands = [a for a in parser._actions if type(a) is argparse._SubParsersAction]
-    if top is None or len(commands) != 1:
-        return {}
-    table = {}
-    for name, sub in commands[0].choices.items():
-        entry = _table_entry(sub, top=False)
-        if entry is None:
-            continue
-        options, sub_fields, required = entry
-        fields = dict(top[1])
-        if commands[0].dest != argparse.SUPPRESS:
-            fields[commands[0].dest] = name
-        # parse_args copies every attribute of the subcommand over the top level's
-        fields.update(sub_fields)
-        table[name] = (options, fields, required)
-    return table
+_READER = {name: _reader_entry(name, handler, options)
+           for name, _, handler, options in COMMANDS}
 
 
 def _read_argv(argv):
@@ -489,19 +448,20 @@ def _read_argv(argv):
     and reports the errors."""
     if not isinstance(argv, (list, tuple)) or not argv:
         return None
-    entry = _argv_table().get(argv[0])
+    entry = _READER.get(argv[0])
     if entry is None:
         return None
-    options, fields, required = entry
+    flags, fields, required = entry
     fields = dict(fields)
     seen = set()
     i, n = 1, len(argv)
     while i < n:
-        spec = options.get(argv[i])
+        flag = argv[i]
+        spec = flags.get(flag)
         if spec is None:
             return None
-        action, takes_value, convert = spec
-        seen.add(action)
+        dest, takes_value, convert, choices = spec
+        seen.add(flag)
         if takes_value:
             i += 1
             if i == n:
@@ -514,11 +474,11 @@ def _read_argv(argv):
                     value = convert(value)
                 except (argparse.ArgumentTypeError, TypeError, ValueError):
                     return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
         else:
-            value = action.const
-        fields[action.dest] = value
+            value = True
+        fields[dest] = value
         i += 1
     if not seen.issuperset(required):
         return None

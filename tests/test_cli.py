@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 
 from latfm import cli
 from latfm.arith import MR_LIMIT, prime_factorization
-from latfm.cli import run
+from latfm.cli import COMMANDS, run
 from latfm.discriminant import cyclic_module
 from latfm.family import GenusData
 from latfm.lattices import Lattice
@@ -112,6 +113,26 @@ class TestDisc:
         )
         assert code == 0
         assert json.loads(out)["factors"] == [4]
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_a_matching_rank_answers_as_the_bare_matrix(self, flags):
+        bare = invoke(["disc", "--gram", "[[2,3],[3,0]]"] + flags)
+        assert bare[0] == 0
+        for text in ('{"rank": 2, "gram": [[2,3],[3,0]]}', '{"gram": [[2,3],[3,0]]}'):
+            assert invoke(["disc", "--gram", text] + flags) == bare
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"rank": 5, "gram": [[2,3],[3,0]]}', '{"rank": true, "gram": [[4]]}',
+         '{"rank": 2.0, "gram": [[2,3],[3,0]]}', '{"rank": null, "gram": [[4]]}'],
+        ids=["mismatch", "true", "float", "null"],
+    )
+    def test_a_rank_other_than_the_row_count_is_usage_error(self, text):
+        for argv in (["disc", "--gram", text],
+                     ["isometry", "--gram1", "[[2]]", "--gram2", text]):
+            code, out, err = invoke(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith('usage error: "rank" must be the number of rows')
 
     @pytest.mark.parametrize(
         "gram",
@@ -587,8 +608,8 @@ def grid_argvs(seed: int = 16, per_command: int = 24) -> list:
 
 
 class TestArgvTable:
-    """A plain argv is read from a table built from the argparse parser;
-    everything else goes to argparse, with the same answer either way."""
+    """A plain argv is read straight from cli.COMMANDS; everything else goes
+    to the argparse parser built from it, with the same answer either way."""
 
     GRID = grid_argvs()
     CHEAP = GRID + TestParserReuse.ARGVS + DETERMINISM_ARGVS
@@ -641,41 +662,42 @@ class TestArgvTable:
         assert (code, err) == (0, "")
         assert out.startswith("{")
 
-    def test_what_the_table_does_not_model_goes_to_argparse(self, monkeypatch):
-        parser = argparse.ArgumentParser(prog="t", allow_abbrev=False)
-        commands = parser.add_subparsers(dest="command", required=True)
-        plain = commands.add_parser("plain")
-        plain.add_argument("--n", type=int, default=1)
-        plain.add_argument("--flag", action="store_true")
-        commands.add_parser("positional").add_argument("n")
-        commands.add_parser("nargs").add_argument("--n", nargs=2)
-        commands.add_parser("append").add_argument("--n", action="append")
-        commands.add_parser("str-default").add_argument("--n", type=int, default="1")
-        commands.add_parser("exclusive").add_mutually_exclusive_group().add_argument(
-            "--a", action="store_true")
-        commands.add_parser("prefix", prefix_chars="+").add_argument("+n")
-        commands.add_parser("fromfile", fromfile_prefix_chars="@").add_argument("--n")
-        monkeypatch.setattr(cli, "_parser", lambda: parser)
-        cli._argv_table.cache_clear()
-        try:
-            assert set(cli._argv_table()) == {"plain"}
-            for argv in (["plain"], ["plain", "--n", "5", "--flag"]):
-                assert cli._read_argv(argv) == parser.parse_args(argv)
-            assert cli._read_argv(["str-default"]) is None
-            parser.add_argument("--verbose", action="store_true")
-            cli._argv_table.cache_clear()
-            assert cli._argv_table() == {}
-        finally:
-            cli._argv_table.cache_clear()
+    def test_the_reader_models_every_declared_option(self):
+        # _read_argv reads a store_true flag or a store of one value, with
+        # at most a type, choices, a default and required; anything else
+        # declared in COMMANDS would be read wrong
+        names = [name for name, _, _, _ in COMMANDS]
+        assert len(set(names)) == len(names)
+        for name, help_text, handler, options in COMMANDS:
+            assert isinstance(help_text, str) and callable(handler)
+            flags = [flag for flag, _ in options]
+            assert len(set(flags)) == len(flags), name
+            for flag, kwargs in options:
+                assert flag.startswith("--") and flag[2:3].isalpha(), (name, flag)
+                assert kwargs.get("action", "store") in ("store", "store_true"), (name, flag)
+                allowed = {"action", "help", "required", "default"}
+                if kwargs.get("action") != "store_true":
+                    allowed |= {"type", "choices"}
+                assert set(kwargs) <= allowed, (name, flag)
+                convert = kwargs.get("type")
+                if convert is not None:
+                    assert callable(convert), (name, flag)
+                    # parse_args would pass a str default through its type
+                    assert not isinstance(kwargs.get("default"), str), (name, flag)
+
+    def test_no_private_argparse_name_in_the_cli(self):
+        private = re.compile(r"argparse\._|\._actions|_registry_get|parser\._defaults"
+                             r"|_mutually_exclusive_groups|prefix_chars")
+        text = Path(cli.__file__).read_text()
+        assert [line for line in text.splitlines() if private.search(line)] == []
 
     def test_nothing_is_built_at_import(self):
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        probe = ("import latfm.cli as c; "
-                 "print(c._parser.cache_info().currsize, c._argv_table.cache_info().currsize)")
+        probe = "import latfm.cli as c; print(c._parser.cache_info().currsize)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 @contextlib.contextmanager
@@ -712,6 +734,14 @@ def random_payload(rng: random.Random, depth: int):
     return {rng.choice(JSON_TEXTS) + str(i): item for i, item in enumerate(items)}
 
 
+class StrSubclass(str):
+    pass
+
+
+class IntSubclass(int):
+    pass
+
+
 class TestJsonWriter:
     @staticmethod
     def emitted(payload) -> str:
@@ -734,7 +764,8 @@ class TestJsonWriter:
             assert self.emitted(payload) == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("payload", [1.5, {"a": [0.5]}, [float("nan")], {1: 2},
-                                         {"a": {3}}, b"x"])
+                                         {"a": {3}}, b"x", StrSubclass("sub"),
+                                         [IntSubclass(1)], {"a": StrSubclass("")}])
     def test_other_types_raise_type_error(self, payload):
         with pytest.raises(TypeError):
             self.emitted(payload)

@@ -280,6 +280,13 @@ class TestOrthogonalGroup:
         group = orthogonal_group_of_module(module)
         assert len(group) == 2
 
+    def test_degenerate_module_needs_the_generation_check(self):
+        # b = q = 0 on (Z/2)^2 keeps every map that sends each generator to
+        # an element of order 2, 3 x 3 of them; O(A) = GL_2(F_2) holds the 6
+        # whose images generate
+        module = FiniteQuadraticModule((2, 2), (), ((0, 0), (0, 0)))
+        assert len(orthogonal_group_of_module(module)) == 6
+
     def test_search_matches_every_endomorphism(self):
         """O(A) from the search against a scan of every well-defined
         endomorphism that verify_isometry accepts: [[2d]] for d <= 30,
