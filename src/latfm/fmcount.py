@@ -96,15 +96,19 @@ def fm_count_genus_sum(
 
     Genus enumeration itself is out of scope: the caller supplies the members.
     The image of O(S) in O(A_S) is exact for rank 1 and for rank 2 with
-    determinant -n^2 (latfm.binary lists every automorph); for other rank-2
-    members it is approximated by bounded self-isometry enumeration (then
-    closed under composition).  Higher rank is not supported.
+    determinant -n^2 (latfm.binary lists every automorph).  For other rank-2
+    members it is the closure of the bounded self-isometries, a subgroup of
+    the true image, so the term is an upper bound: an automorph with an
+    entry beyond the budget's bound is missed, and [[2,0],[0,-28]] gets 2
+    where the exact term is 1.  Higher rank is not supported.
 
     Each member's term depends only on its Gram matrix and the budget, so it
-    is memoized per process on (gram, budget), for up to 1024 keys.  A miss
-    runs every search, closure and subgroup check; a BudgetExhaustedError is
-    not stored, so it is recomputed and raised again with the same nodes.
-    Only Gram matrices repeated within one process gain.
+    is memoized per process on (member, budget), for up to 1024 keys; a
+    Lattice compares and hashes by its Gram matrix alone, so equal Gram
+    matrices share one slot.  A miss runs every search, closure and subgroup
+    check; a BudgetExhaustedError is not stored, so it is recomputed and
+    raised again with the same nodes.  Only Gram matrices repeated within
+    one process gain.
     """
     total = 0
     for member in genus_members:
@@ -112,15 +116,15 @@ def fm_count_genus_sum(
             raise RankUnsupportedError(
                 "orthogonal groups are only enumerated for rank <= 2"
             )
-        total += _member_term(member.gram, budget)
+        total += _member_term(member, budget)
     return total
 
 
 @lru_cache(maxsize=1024)
-def _member_term(gram: Mat, budget: SearchBudget) -> int:
-    """|O(S)\\O(A_S)/G| for the member of rank <= 2 with this Gram matrix,
-    counted on generator matrices; no ModuleIsometry is built."""
-    member = Lattice(gram)
+def _member_term(member: Lattice, budget: SearchBudget) -> int:
+    """|O(S)\\O(A_S)/G| for a member of rank <= 2, counted on generator
+    matrices; no ModuleIsometry is built."""
+    gram = member.gram
     disc = LatticeDiscriminant(member)
     module = disc.module
     full = orthogonal_group_of_module(module)

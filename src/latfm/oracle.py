@@ -294,13 +294,63 @@ def closure(gens, factors, within=None):
     return reached
 
 
+def _cyclic_units(mats, factors):
+    """The units a of the matrices ((a,),) of a cyclic module Z/f, when each
+    is a unit mod f reduced into [0, f); else None.  Such a set, once closed,
+    is an abelian group, and each closed subset of it a subgroup."""
+    if len(factors) != 1:
+        return None
+    (f,) = factors
+    units = [a for ((a,),) in mats]
+    if all(0 <= a < f and gcd(a, f) == 1 for a in units):
+        return units
+    return None
+
+
+def _unit_span(gens, f, within):
+    """The subgroup of (Z/f)* spanned by the units `gens`, in the order
+    reached; None as soon as an element falls outside the set `within`.
+
+    A unit has finite order, so 1 is a product of the gens and the span
+    starts there.  A generator s not yet reached takes the span H so far to
+    the new cosets H s, H s^2, ... until the first element of one, s^m,
+    lands in H; so each element is reached by one product.
+    """
+    one = 1 % f
+    if one not in within:
+        return None
+    span = [one]
+    seen = {one}
+    for s in gens:
+        if s in seen:
+            continue
+        grown = list(span)
+        coset = span
+        while True:
+            coset = [x * s % f for x in coset]
+            if coset[0] in seen:
+                break
+            if not within.issuperset(coset):
+                return None
+            seen.update(coset)
+            grown += coset
+        span = grown
+    return span
+
+
 def double_coset_count(left, full, right, factors) -> int:
     """Number of orbits of `full` under x -> l.x.r over the subgroups `left`
-    and `right` (union-find on the finite element list); an empty side is
-    not a subgroup and raises NotSubgroupError.
+    and `right`; an empty side is not a subgroup and raises NotSubgroupError.
 
     The elements are generator matrices of automorphisms of the module with
-    invariant `factors`, such as ((a,),) for the unit a of a cyclic module."""
+    invariant `factors`.  On a cyclic module Z/f they are the units ((a,),):
+    a group of units mod f is abelian, so the orbit of x is the coset x L R
+    and the count is |full| / |L R|, with L R the span of both sides.  On
+    two or more generators, and on a cyclic set that holds a non-unit (the
+    closed monoid {0}), the orbits come from union-find on the element
+    list.  Both ways make the same checks, in the same order, with the same
+    errors: a non-empty full set without duplicates and closed through its
+    generators, sides within it, each side closed."""
     full = list(full)
     left = list(left)
     right = list(right)
@@ -312,14 +362,29 @@ def double_coset_count(left, full, right, factors) -> int:
     full_index = {mat: i for i, mat in enumerate(full)}
     if len(full_index) != len(full):
         raise LatfmError("full group contains duplicates")
-    if closure(full, factors, within=full_index) is None:
+    units = _cyclic_units(full, factors)
+    if units is None:
+        elements, full_set = full, full_index
+
+        def closed(gens, within):
+            return closure(gens, factors, within) is not None
+    else:
+        (f,) = factors
+        elements, full_set = units, set(units)
+
+        def closed(gens, within):
+            return _unit_span(gens, f, within) is not None
+    if not closed(elements, full_set):
         raise NotSubgroupError("full set is not closed under composition")
     left_idx = set(_as_group(left, full_index))
     right_idx = set(_as_group(right, full_index))
     for idx_set in (left_idx, right_idx):
-        side = [full[i] for i in sorted(idx_set)]
-        if closure(side, factors, within=set(side)) is None:
+        side = [elements[i] for i in sorted(idx_set)]
+        if not closed(side, set(side)):
             raise NotSubgroupError("factor is not closed under composition")
+    if units is not None:
+        span = _unit_span([units[i] for i in left_idx | right_idx], f, full_set)
+        return len(units) // len(span)
     compose = _composer(factors)
     parent = list(range(len(full)))
 

@@ -22,7 +22,7 @@ from latfm.fmcount import (
     prime_power_blocks,
     unitary_divisors,
 )
-from latfm.lattices import U, direct_sum, make_lattice
+from latfm.lattices import Lattice, U, direct_sum, make_lattice
 from latfm.oracle import (
     DEFAULT_BUDGET,
     SearchBudget,
@@ -123,6 +123,31 @@ class TestGenusSum:
         members = [make_lattice([[12]]), make_lattice([[12]])]
         assert fm_count_genus_sum(members) == 2 * fm_count_rho1(6)
 
+    def test_members_are_not_rebuilt(self, monkeypatch):
+        # a miss takes the caller's Lattice, and equal Gram matrices share one
+        # memo slot: no Lattice is built, so no Gram matrix is checked twice
+        members = [make_lattice(g) for g in ([[60]], [[60]], [[2, 1], [1, 4]],
+                                             [[2, 5], [5, 0]])]
+        built = []
+        original = Lattice.__post_init__
+
+        def counted(self):
+            built.append(self.gram)
+            original(self)
+
+        monkeypatch.setattr(Lattice, "__post_init__", counted)
+        assert fm_count_genus_sum(members) == 2 * fm_count_rho1(30) + 2
+        assert built == []
+        info = fmcount._member_term.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    def test_automorph_beyond_the_default_bound(self):
+        # 15^2 - 14 * 4^2 = 1 gives the automorph [[15, 56], [4, 15]], whose
+        # entry 56 lies outside the default bound 50; with it in the image
+        # of O(S) the exact term is 1, and the bounded image gives 2
+        assert fm_count_genus_sum([make_lattice([[2, 0], [0, -28]])]) == 1
+
 
 class TestPmIdSubgroup:
     def test_nontrivial_module(self):
@@ -220,7 +245,7 @@ class TestMemberTermOnResidues:
         for d in range(1, 3001):
             for sign in (1, -1):
                 gram = ((sign * 2 * d,),)
-                assert fmcount._member_term(gram, DEFAULT_BUDGET) == \
+                assert fmcount._member_term(make_lattice(gram), DEFAULT_BUDGET) == \
                     enumerated_image_term(gram), gram
 
     def test_rank_two(self):
@@ -229,7 +254,7 @@ class TestMemberTermOnResidues:
         grams += [((2 * d, n), (n, 0)) for n in range(1, 13) for d in range(-12, 13)
                   if d and gcd(2 * d, n) == 1]
         for gram in grams:
-            assert fmcount._member_term(gram, DEFAULT_BUDGET) == \
+            assert fmcount._member_term(make_lattice(gram), DEFAULT_BUDGET) == \
                 enumerated_image_term(gram), gram
 
     @pytest.mark.parametrize("gram", [((3,),), ((-5,),), ((1, 0), (0, -4)),
@@ -243,7 +268,7 @@ class TestMemberTermOnResidues:
             except LatfmError as exc:
                 return type(exc), str(exc)
 
-        assert outcome(fmcount._member_term, gram, DEFAULT_BUDGET) == \
+        assert outcome(fmcount._member_term, make_lattice(gram), DEFAULT_BUDGET) == \
             outcome(enumerated_image_term, gram)
 
     def test_cyclic_members_build_no_module_isometry(self, monkeypatch):

@@ -491,6 +491,17 @@ def closure_outcomes(left, full, right):
     )
 
 
+@pytest.fixture
+def units_only(monkeypatch):
+    """Shut the matrix closure and union-find out of double_coset_count, so
+    a cyclic module's count and every verdict come from its unit lane."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cyclic lane left the units")
+
+    monkeypatch.setattr(oracle, "closure", refuse)
+    monkeypatch.setattr(oracle, "_composer", refuse)
+
+
 class TestDoubleCosetsAgainstAllPairs:
     def test_rank_one_groups_with_full_sides(self):
         for d in range(1, 501):
@@ -576,3 +587,125 @@ class TestDoubleCosetsAgainstAllPairs:
         zero = (ModuleIsometry(module, module, ((0,),)),)
         old, new = closure_outcomes(zero, zero, zero)
         assert old == new == ("ok", 1)
+
+    @pytest.mark.usefixtures("units_only")
+    def test_random_subgroup_pairs(self):
+        """L != R, each spanned by 1 to 3 random elements of O(A), against the
+        all-pairs count: 8 pairs for each d in (6, 30, 60, 210, 2310, 4620),
+        omega(d) = 2, 3, 3, 4, 5, 5 and |O(A)| = 4, 8, 8, 16, 32, 32: 48 pairs
+        in all.  On 28 of them L R is larger than either side, which the +-1
+        sides of the genus sum never reach."""
+        rng = random.Random(79)
+        larger = 0
+        for d in (6, 30, 60, 210, 2310, 4620):
+            module, full = rank1_orthogonal_group(d)
+            (f,) = module.factors
+            by_unit = {iso.matrix[0][0]: iso for iso in full}
+
+            def subgroup():
+                # grow {1} by the generators until it stops: the span of units
+                gens = rng.sample(sorted(by_unit), rng.randint(1, 3))
+                group = {1}
+                while True:
+                    grown = group | {g * x % f for g in gens for x in group}
+                    if grown == group:
+                        return tuple(by_unit[a] for a in sorted(group))
+                    group = grown
+
+            pairs = 0
+            while pairs < 8:
+                left, right = subgroup(), subgroup()
+                if left == right:
+                    continue
+                pairs += 1
+                old, new = closure_outcomes(left, full, right)
+                assert old[0] == "ok" and new == old, (d, left, right)
+                if len(full) // old[1] > max(len(left), len(right)):
+                    larger += 1
+        assert larger == 28
+
+
+# d = 6, 30 and 210: O(A) has 4, 8 and 16 elements, -1 among them
+LANE_DS = (6, 30, 210)
+
+
+@pytest.mark.usefixtures("units_only")
+class TestCyclicLaneFailures:
+    """The unit lane against the all-pairs count on cyclic modules, one way
+    to fail at a time: the same verdict, type and message."""
+
+    def test_identity_less_side(self):
+        """{s} with s^2 = 1 and s != 1 is closed up to 1, which it lacks.
+        Kills the mutant that starts the unit span at 1 without checking
+        that 1 lies in the side: it accepts {s} as the subgroup {1, s}."""
+        for d in LANE_DS:
+            module, full = rank1_orthogonal_group(d)
+            ident = identity_isometry(module)
+            for s in full:
+                if s.matrix == ident.matrix:
+                    continue
+                assert (s.matrix[0][0] ** 2) % module.factors[0] == 1
+                for args in (((s,), full, (ident,)), ((ident,), full, (s,))):
+                    old, new = closure_outcomes(*args)
+                    assert new == old, (d, s.matrix)
+                    assert old[:3] == ("error", NotSubgroupError,
+                                       "factor is not closed under composition")
+
+    def test_full_missing_one_element(self):
+        """O(A) less one element is not closed: a product of two others, or
+        the identity, lands on the gap.  Kills the mutant that drops the
+        check of each coset against `within` in the unit span (a gap other
+        than 1 goes unseen), and the one that skips the 1 check (a missing
+        identity goes unseen)."""
+        verdicts = set()
+        for d in LANE_DS:
+            module, full = rank1_orthogonal_group(d)
+            side = (identity_isometry(module),)
+            for gap in full:
+                rest = tuple(iso for iso in full if iso is not gap)
+                old, new = closure_outcomes(side, rest, side)
+                assert new == old, (d, gap.matrix)
+                verdicts.add(old[:3])
+        assert verdicts == {
+            ("error", NotSubgroupError, "full set is not closed under composition")}
+
+    def test_duplicate_in_full(self):
+        """Kills the mutant that lets the lane take the units of `full` as a
+        set with no duplicate check: |full| // |L R| can then come out as
+        the count of the duplicate-free group."""
+        for d in LANE_DS:
+            module, full = rank1_orthogonal_group(d)
+            side = (identity_isometry(module), negation_isometry(module))
+            for twice in full:
+                old, new = closure_outcomes(side, full + (twice,), side)
+                assert new == old, (d, twice.matrix)
+                assert old[:3] == ("error", LatfmError, "full group contains duplicates")
+
+    def test_element_outside_full(self):
+        """A side {1, u} that is a group of units but not inside full = +-1,
+        and a side holding a non-unit.  Kills the mutant that checks each
+        side's closure on its own units without its membership in full: {1, u}
+        is closed and would be counted."""
+        for d in LANE_DS:
+            module, full = rank1_orthogonal_group(d)
+            pm = (identity_isometry(module), negation_isometry(module))
+            others = [iso for iso in full if iso.matrix not in {m.matrix for m in pm}]
+            zero = ModuleIsometry(module, module, ((0,),))
+            for outside in [(pm[0], u) for u in others] + [(pm[0], zero)]:
+                for args in ((outside, pm, pm), (pm, pm, outside)):
+                    old, new = closure_outcomes(*args)
+                    assert new == old, (d, [iso.matrix for iso in outside])
+                    assert old[:3] == ("error", NotSubgroupError,
+                                       "element does not belong to the full group")
+
+    @pytest.mark.parametrize("empty_side", ["left", "right"])
+    def test_empty_side(self, empty_side):
+        """Kills the mutant that drops the empty-side check: the unit span of
+        no generators is {1}, so the lane would count |full| / |the other side|."""
+        for d in LANE_DS:
+            module, full = rank1_orthogonal_group(d)
+            side = (identity_isometry(module), negation_isometry(module))
+            args = ((), full, side) if empty_side == "left" else (side, full, ())
+            old, new = closure_outcomes(*args)
+            assert new == old, d
+            assert old[:3] == ("error", NotSubgroupError, "factor is empty")
