@@ -39,7 +39,6 @@ from .lattices import (
     quotient_by_isotropic,
     rescale,
     signature,
-    sublattice,
 )
 from .discriminant import (
     FiniteQuadraticModule,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -410,13 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process: parse_args keeps no state between calls,
-    so one build serves every run."""
-    return build_parser()
-
-
 def _reader_entry(name, handler, options):
     """(flags, fields, required) of one COMMANDS entry for _read_argv: flags
     maps each flag to (dest, takes a value, type, choices), fields is the
@@ -439,9 +431,9 @@ _READER = {name: _reader_entry(name, handler, options)
 
 
 def _read_argv(argv):
-    """The Namespace _parser().parse_args(argv) returns, for a plain argv: a
-    subcommand, then exact option strings, each valued one followed by a
-    value that does not start with "-", and every required option.  A
+    """The Namespace build_parser().parse_args(argv) returns, for a plain
+    argv: a subcommand, then exact option strings, each valued one followed
+    by a value that does not start with "-", and every required option.  A
     repeated option keeps its last value, as in argparse.  None for anything
     else (help, --opt=value, "--", negative numbers, unknown options, values
     that fail their type or choices, missing options): argparse reads those
@@ -499,7 +491,7 @@ def run(argv, out=None, err=None) -> int:
             try:
                 # argparse prints help and usage errors to sys.stdout/sys.stderr
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    args = _parser().parse_args(argv)
+                    args = build_parser().parse_args(argv)
             except SystemExit as exc:
                 return USAGE_ERROR if exc.code else 0
         return args.handler(args, out)

@@ -23,13 +23,7 @@ from .discriminant import (
 from .errors import LatfmError, RankUnsupportedError
 from .intmat import Mat
 from .lattices import Lattice
-from .oracle import (
-    DEFAULT_BUDGET,
-    SearchBudget,
-    closure,
-    double_coset_count,
-    enumerate_self_isometries,
-)
+from .oracle import closure, double_coset_count, enumerate_self_isometries
 
 
 def distinct_prime_count(d: int) -> int:
@@ -88,27 +82,24 @@ def fm_count_rho1_via_cosets(d: int) -> int:
     return fm_count_genus_sum((Lattice(((2 * d,),)),))
 
 
-def fm_count_genus_sum(
-    genus_members,
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> int:
+def fm_count_genus_sum(genus_members) -> int:
     """Sum of |O(S)\\O(A_S)/G| over the supplied genus members.
 
     Genus enumeration itself is out of scope: the caller supplies the members.
     The image of O(S) in O(A_S) is exact for rank 1 and for rank 2 with
     determinant -n^2 (latfm.binary lists every automorph).  For other rank-2
-    members it is the closure of the bounded self-isometries, a subgroup of
-    the true image, so the term is an upper bound: an automorph with an
-    entry beyond the budget's bound is missed, and [[2,0],[0,-28]] gets 2
-    where the exact term is 1.  Higher rank is not supported.
+    members it is the closure of the self-isometries with entries within the
+    default bound 50, a subgroup of the true image, so the term is an upper
+    bound: an automorph with a larger entry is missed, and [[2,0],[0,-28]]
+    gets 2 where the exact term is 1.  Higher rank is not supported.  The
+    rank-2 search cannot reach the default node limit, so no sum ends in
+    BudgetExhaustedError.
 
-    Each member's term depends only on its Gram matrix and the budget, so it
-    is memoized per process on (member, budget), for up to 1024 keys; a
-    Lattice compares and hashes by its Gram matrix alone, so equal Gram
-    matrices share one slot.  A miss runs every search, closure and subgroup
-    check; a BudgetExhaustedError is not stored, so it is recomputed and
-    raised again with the same nodes.  Only Gram matrices repeated within
-    one process gain.
+    Each member's term depends only on its Gram matrix, so it is memoized
+    per process on the member, for up to 1024 keys; a Lattice compares and
+    hashes by its Gram matrix alone, so equal Gram matrices share one slot.
+    A miss runs every search, closure and subgroup check.  Only Gram
+    matrices repeated within one process gain.
     """
     total = 0
     for member in genus_members:
@@ -116,12 +107,12 @@ def fm_count_genus_sum(
             raise RankUnsupportedError(
                 "orthogonal groups are only enumerated for rank <= 2"
             )
-        total += _member_term(member, budget)
+        total += _member_term(member)
     return total
 
 
 @lru_cache(maxsize=1024)
-def _member_term(member: Lattice, budget: SearchBudget) -> int:
+def _member_term(member: Lattice) -> int:
     """|O(S)\\O(A_S)/G| for a member of rank <= 2, counted on generator
     matrices; no ModuleIsometry is built."""
     gram = member.gram
@@ -135,7 +126,7 @@ def _member_term(member: Lattice, budget: SearchBudget) -> int:
         if square_root_of_discriminant(gram):
             automorphs = isometries(gram, gram)
         else:
-            automorphs = [w.matrix for w in enumerate_self_isometries(member, budget)]
+            automorphs = [w.matrix for w in enumerate_self_isometries(member)]
         actions = [disc.isometry_action(mat) for mat in automorphs]
         image = sorted(closure(actions, module.factors))
     return double_coset_count(image, full, side, module.factors)

@@ -217,10 +217,6 @@ class SublatticeEmbedding:
         return Lattice(self.induced_gram)
 
 
-def sublattice(ambient: Lattice, basis) -> SublatticeEmbedding:
-    return SublatticeEmbedding(ambient, freeze(basis))
-
-
 def orthogonal_complement(v: SublatticeEmbedding) -> SublatticeEmbedding:
     """Saturated orthogonal complement, with HNF-canonical basis."""
     pairing = mat_mul(v.basis, v.ambient.gram)  # rank x n, rows = b(v_i, -)

@@ -1,18 +1,22 @@
-"""Brute-force ground truth: bounded lattice-isometry search, unit-group
-enumeration and double-coset counting.
+"""Bounded lattice-isometry search, unit-group enumeration and the
+double-coset kernel of the genus sum.
 
-The searches here are deliberately independent of every closed form in the
-package; they exist to validate those closed forms.  A bounded search has
-three outcomes: a verified witness, a definitive negative from the invariant
-screen (determinant, parity, signature), or BudgetExhaustedError, which means
-"nothing found within the budget" and nothing more.
+The searches are brute-force ground truth, independent of every closed
+form in the package; they exist to validate those closed forms.  A bounded
+search has three outcomes: a verified witness, a definitive negative from
+the invariant screen (determinant, parity, signature), or
+BudgetExhaustedError, which means "nothing found within the budget" and
+nothing more.
+
+double_coset_count is the kernel latfm.fmcount counts with, not an
+independent check: on the units of a cyclic module it is the closed form
+|O(A)| / |L R|, and otherwise a union-find over the elements of O(A).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 
 from .discriminant import compose_matrices
@@ -96,41 +100,33 @@ def _last_coordinates(c: int, lin: int, const: int, bound: int):
     return sorted(roots)
 
 
-@lru_cache(maxsize=1024)
-def _norm_bucket(gram: Mat, bound: int, norm: int) -> tuple[tuple[Vec, Vec], ...]:
-    """The pairs (v, G v) of nonzero v with entries in [-bound, bound] and
-    square `norm`, v in lexicographic order; pure, so memoized per process.
+def _norm_buckets(lattice: Lattice, bound: int, needed, nodes: _NodeCounter):
+    """The bucket of each needed square: the pairs (v, G v) of nonzero v with
+    entries in [-bound, bound] and that square, v in lexicographic order.
 
-    Only the prefixes p of the first n - 1 coordinates are walked: the last
-    coordinate t solves Q(p, t) = c t^2 + 2 l t + Q(p, 0) = norm exactly,
-    with c = g[n-1][n-1], and G v is the prefix's partial product plus t
-    times the last column, whose last entry is l.
+    The whole box of (2 bound + 1)^n vectors is charged at once, before any
+    bucket is filled.  Only the prefixes p of the first n - 1 coordinates
+    are walked, once for every bucket: the last coordinate t solves
+    Q(p, t) = c t^2 + 2 l t + Q(p, 0) = norm exactly, with c = g[n-1][n-1],
+    and G v is the prefix's partial product plus t times the last column,
+    whose last entry is l.
     """
+    nodes.tick((2 * bound + 1) ** lattice.rank)
+    gram = lattice.gram
     head = tuple(row[:-1] for row in gram)
     last_col = tuple(row[-1] for row in gram)
     c = gram[-1][-1]
-    bucket = []
+    buckets = {norm: [] for norm in needed}
     for prefix in itertools.product(range(-bound, bound + 1), repeat=len(gram) - 1):
         partial = mat_vec(head, prefix)
         q0 = sum(a * b for a, b in zip(prefix, partial))
         nonzero = any(prefix)
-        for t in _last_coordinates(c, partial[-1], q0 - norm, bound):
-            if t or nonzero:
-                gv = tuple(a + t * b for a, b in zip(partial, last_col))
-                bucket.append((prefix + (t,), gv))
-    return tuple(bucket)
-
-
-def _norm_buckets(lattice: Lattice, bound: int, needed, nodes: _NodeCounter):
-    """The bucket of each needed square: pairs (v, G v) of nonzero vectors v
-    with entries in [-bound, bound], in lexicographic order of v.
-
-    The whole box of (2 bound + 1)^n vectors is charged at once, before any
-    bucket is read, so node counts and the exhaustion point do not depend on
-    what the memo holds.
-    """
-    nodes.tick((2 * bound + 1) ** lattice.rank)
-    return {norm: _norm_bucket(lattice.gram, bound, norm) for norm in needed}
+        for norm, bucket in buckets.items():
+            for t in _last_coordinates(c, partial[-1], q0 - norm, bound):
+                if t or nonzero:
+                    gv = tuple(a + t * b for a, b in zip(partial, last_col))
+                    bucket.append((prefix + (t,), gv))
+    return {norm: tuple(bucket) for norm, bucket in buckets.items()}
 
 
 def _column_search(l1: Lattice, target_gram: Mat, nodes: _NodeCounter, find_all: bool):
@@ -243,15 +239,6 @@ def _as_group(mats, full_index) -> list[int]:
     return indices
 
 
-def _composer(factors):
-    """a o b for endomorphisms of the module with these invariant factors.
-    On a cyclic module both are 1x1, and a o b is a product mod f."""
-    if len(factors) == 1:
-        (f,) = factors
-        return lambda a, b: (((a[0][0] * b[0][0]) % f,),)
-    return lambda a, b: compose_matrices(a, b, factors)
-
-
 def closure(gens, factors, within=None):
     """Every product of the endomorphism matrices `gens` under composition,
     in the order reached; None as soon as a product falls outside `within`.
@@ -261,7 +248,6 @@ def closure(gens, factors, within=None):
     Every product of generators is then reached, so checking closure of a
     set S needs S o T within S for the generators T only, not all pairs.
     """
-    compose = _composer(factors)
     reached: list = []
     seen: set = set()
     used: list = []
@@ -282,14 +268,14 @@ def closure(gens, factors, within=None):
         if not reach(s):
             return None
         for x in reached[:old]:
-            if not reach(compose(x, s)):
+            if not reach(compose_matrices(x, s, factors)):
                 return None
         i = old
         while i < len(reached):
             x = reached[i]
             i += 1
             for t in used:
-                if not reach(compose(x, t)):
+                if not reach(compose_matrices(x, t, factors)):
                     return None
     return reached
 
@@ -385,7 +371,6 @@ def double_coset_count(left, full, right, factors) -> int:
     if units is not None:
         span = _unit_span([units[i] for i in left_idx | right_idx], f, full_set)
         return len(units) // len(span)
-    compose = _composer(factors)
     parent = list(range(len(full)))
 
     def find(x: int) -> int:
@@ -401,7 +386,7 @@ def double_coset_count(left, full, right, factors) -> int:
 
     for i, x in enumerate(full):
         for li in left_idx:
-            lx = compose(full[li], x)
+            lx = compose_matrices(full[li], x, factors)
             for ri in right_idx:
-                union(i, full_index[compose(lx, full[ri])])
+                union(i, full_index[compose_matrices(lx, full[ri], factors)])
     return len({find(i) for i in range(len(full))})

@@ -1,9 +1,9 @@
 import pytest
 
-from latfm import fmcount, oracle
+from latfm import fmcount
 
-# the per-process memos of the oracle layer
-MEMOS = (oracle._norm_bucket, fmcount._member_term)
+# the per-process memos of the counting path
+MEMOS = (fmcount._member_term,)
 
 
 def clear_memos():

@@ -297,8 +297,11 @@ class TestSearchOutcome:
         # the lane's node bound counts 3 (2B + 1) vectors per norm bucket
         for gram in random_square_forms(random.Random(15), 60):
             for bound in (1, 3, 10):
-                for norm in (0, gram[0][0], gram[1][1], 2, -2):
-                    assert len(oracle._norm_bucket(gram, bound, norm)) <= 3 * (2 * bound + 1)
+                nodes = oracle._NodeCounter(SearchBudget(entry_bound=bound))
+                buckets = oracle._norm_buckets(make_lattice(gram), bound,
+                                               {0, gram[0][0], gram[1][1], 2, -2}, nodes)
+                for bucket in buckets.values():
+                    assert len(bucket) <= 3 * (2 * bound + 1)
 
     def test_exhaustion_needs_no_search(self):
         budget = SearchBudget(entry_bound=12)

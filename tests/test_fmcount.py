@@ -23,13 +23,7 @@ from latfm.fmcount import (
     unitary_divisors,
 )
 from latfm.lattices import Lattice, U, direct_sum, make_lattice
-from latfm.oracle import (
-    DEFAULT_BUDGET,
-    SearchBudget,
-    closure,
-    enumerate_self_isometries,
-    units_with_square_one,
-)
+from latfm.oracle import closure, enumerate_self_isometries, units_with_square_one
 
 
 class TestPrimeHelpers:
@@ -111,8 +105,7 @@ class TestGenusSum:
     def test_rank_two_member(self):
         # O(L_{1,3}) surjects onto O(A) = {+-id}, so one double coset remains
         member = make_lattice([[2, 3], [3, 0]])
-        budget = SearchBudget(entry_bound=12, node_limit=1_000_000)
-        assert fm_count_genus_sum([member], budget=budget) == 1
+        assert fm_count_genus_sum([member]) == 1
 
     def test_rank_three_unsupported(self):
         member = direct_sum(U, make_lattice([[2]]))
@@ -213,7 +206,7 @@ def test_closure_through_generators_matches_mulclose():
             assert sorted(reached) == expected, (gram, [g.matrix for g in gens])
 
 
-def enumerated_image_term(gram, budget=DEFAULT_BUDGET):
+def enumerated_image_term(gram):
     """A member's term with O(S) from the bounded enumeration for every
     rank-2 member, and the double cosets counted as the distinct sets
     {l x r}, without the union-find of double_coset_count."""
@@ -226,7 +219,7 @@ def enumerated_image_term(gram, budget=DEFAULT_BUDGET):
         image = side
     else:
         actions = [disc.isometry_action(w.matrix)
-                   for w in enumerate_self_isometries(member, budget)]
+                   for w in enumerate_self_isometries(member)]
         image = closure(actions, module.factors)
     factors = module.factors
     return len({
@@ -245,7 +238,7 @@ class TestMemberTermOnResidues:
         for d in range(1, 3001):
             for sign in (1, -1):
                 gram = ((sign * 2 * d,),)
-                assert fmcount._member_term(make_lattice(gram), DEFAULT_BUDGET) == \
+                assert fmcount._member_term(make_lattice(gram)) == \
                     enumerated_image_term(gram), gram
 
     def test_rank_two(self):
@@ -254,7 +247,7 @@ class TestMemberTermOnResidues:
         grams += [((2 * d, n), (n, 0)) for n in range(1, 13) for d in range(-12, 13)
                   if d and gcd(2 * d, n) == 1]
         for gram in grams:
-            assert fmcount._member_term(make_lattice(gram), DEFAULT_BUDGET) == \
+            assert fmcount._member_term(make_lattice(gram)) == \
                 enumerated_image_term(gram), gram
 
     @pytest.mark.parametrize("gram", [((3,),), ((-5,),), ((1, 0), (0, -4)),
@@ -268,7 +261,7 @@ class TestMemberTermOnResidues:
             except LatfmError as exc:
                 return type(exc), str(exc)
 
-        assert outcome(fmcount._member_term, make_lattice(gram), DEFAULT_BUDGET) == \
+        assert outcome(fmcount._member_term, make_lattice(gram)) == \
             outcome(enumerated_image_term, gram)
 
     def test_cyclic_members_build_no_module_isometry(self, monkeypatch):

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import MEMOS
 
 import latfm.arith
 import latfm.cli  # noqa: F401  (loads every latfm module)
@@ -249,3 +250,26 @@ def test_fractions_are_left_to_presentation():
     ]
     assert len(printed) == 2
     assert uses(tree) == set().union(*map(uses, printed))
+
+
+def test_the_memo_inventory_is_pinned():
+    # every per-process memo in src/latfm; a new one is added here on purpose
+    def memo_decorator(node):
+        target = node.func if isinstance(node, ast.Call) else node
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        return name in ("lru_cache", "cache")
+
+    memos = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    memo_decorator(dec) for dec in node.decorator_list):
+                memos.add(f"{path.stem}.{node.name}")
+    assert memos == {
+        "fmcount._member_term",
+        "mukai._h_complement",
+        # its cache_clear is called by the benchmark's tests
+        "mukai._mukai_complement",
+    }
+    # the tests start each one cold
+    assert latfm.fmcount._member_term in MEMOS
