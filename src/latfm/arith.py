@@ -70,16 +70,26 @@ def prime_factorization(n: int) -> dict[int, int]:
     if n < 1:
         raise LatfmError("expected a positive integer")
     out: dict[int, int] = {}
+    # g, the product of the distinct primes below B that divide n, is
+    # trial-divided in place of n: once p^2 > g, what is left of g is 1 or
+    # a prime
+    g = gcd(n, _SMALL_PRODUCT)
+    small = []
     for p in _SMALL_PRIMES:
-        if p * p > n:
+        if p * p > g:
             break
-        if n % p == 0:
+        if g % p == 0:
+            g //= p
+            small.append(p)
+    if g > 1:
+        small.append(g)
+    for p in small:
+        n //= p
+        e = 1
+        while n % p == 0:
             n //= p
-            e = 1
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
+            e += 1
+        out[p] = e
     if n >= _SMALL_SQUARE:
         for p in _large_prime_factors(n):
             out[p] = out.get(p, 0) + 1

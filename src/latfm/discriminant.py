@@ -59,35 +59,36 @@ class FiniteQuadraticModule:
     even: bool = True
 
     def __post_init__(self):
-        factors = tuple(int(f) for f in self.factors)
+        factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
-        k = len(factors)
-        if any(f <= 1 for f in factors):
-            raise LatfmError("invariant factors must all exceed 1")
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise LatfmError("invariant factors must form a divisibility chain")
         object.__setattr__(self, "generators", freeze(self.generators))
-        if self.generators and len(self.generators) != k:
-            raise LatfmError("generator count does not match factor count")
         gram = freeze(self.gram)
-        if len(gram) != k or any(len(row) != k for row in gram):
-            raise LatfmError("form matrix has wrong shape")
-        e = self.exponent
-        diagonal = 2 * e if self.even else e
-        gram = tuple(
-            tuple(x % (diagonal if i == j else e) for j, x in enumerate(row))
-            for i, row in enumerate(gram)
-        )
+        if len(factors) != 1:
+            gram = _checked_form(factors, self.generators, gram, self.even)
+        else:
+            # _checked_form on one generator of order f: x / f is symmetric
+            # and compatible with b as it stands, and q = x / f is a value
+            # of an element of order f iff f x is even
+            (f,) = factors
+            if type(f) is not int:
+                raise LatfmError("invariant factors must be integers")
+            if f <= 1:
+                raise LatfmError("invariant factors must all exceed 1")
+            if self.generators and len(self.generators) != 1:
+                raise LatfmError("generator count does not match factor count")
+            if len(gram) != 1 or len(gram[0]) != 1:
+                raise LatfmError("form matrix has wrong shape")
+            ((x,),) = gram
+            if type(x) is not int:
+                raise LatfmError("form matrix entries must be integers")
+            if self.even:
+                x %= 2 * f
+                if f * x % 2:
+                    raise LatfmError("q value incompatible with generator order")
+            else:
+                x %= f
+            gram = ((x,),)
         object.__setattr__(self, "gram", gram)
-        for i in range(k):
-            for j in range(k):
-                if gram[i][j] != gram[j][i]:
-                    raise LatfmError("form matrix is not symmetric")
-                if factors[i] * gram[i][j] % e:
-                    raise LatfmError("b value incompatible with generator order")
-            if self.even and factors[i] * factors[i] * gram[i][i] % (2 * e):
-                raise LatfmError("q value incompatible with generator order")
 
     @property
     def exponent(self) -> int:
@@ -147,6 +148,41 @@ class FiniteQuadraticModule:
         return sum(
             a * sum(g * c for g, c in zip(row, y)) for a, row in zip(x, self.gram)
         )
+
+
+def _checked_form(factors, generators, gram, even: bool):
+    """The form matrix of a module, every entry reduced into [0, e) and
+    the diagonal of an even module into [0, 2e), once factors, generators
+    and form are checked to fit: LatfmError otherwise."""
+    k = len(factors)
+    if any(type(f) is not int for f in factors):
+        raise LatfmError("invariant factors must be integers")
+    if any(f <= 1 for f in factors):
+        raise LatfmError("invariant factors must all exceed 1")
+    for a, b in zip(factors, factors[1:]):
+        if b % a:
+            raise LatfmError("invariant factors must form a divisibility chain")
+    if generators and len(generators) != k:
+        raise LatfmError("generator count does not match factor count")
+    if len(gram) != k or any(len(row) != k for row in gram):
+        raise LatfmError("form matrix has wrong shape")
+    if any(type(x) is not int for row in gram for x in row):
+        raise LatfmError("form matrix entries must be integers")
+    e = factors[-1] if factors else 1
+    diagonal = 2 * e if even else e
+    gram = tuple(
+        tuple(x % (diagonal if i == j else e) for j, x in enumerate(row))
+        for i, row in enumerate(gram)
+    )
+    for i in range(k):
+        for j in range(k):
+            if gram[i][j] != gram[j][i]:
+                raise LatfmError("form matrix is not symmetric")
+            if factors[i] * gram[i][j] % e:
+                raise LatfmError("b value incompatible with generator order")
+        if even and factors[i] * factors[i] * gram[i][i] % (2 * e):
+            raise LatfmError("q value incompatible with generator order")
+    return gram
 
 
 def cyclic_module(order: int, qval: int, generator: Vec = ()) -> FiniteQuadraticModule:

@@ -340,6 +340,14 @@ def rational_solve(m: Mat, rhs: Vec) -> tuple[Fraction, ...] | None:
 
 
 def rank(m: Mat) -> int:
+    """Rank over Q.  Two rows take a straight-line form: zero, or else 2 iff
+    some 2x2 minor on the first nonzero column is nonzero."""
+    if len(m) == 2:
+        r0, r1 = m
+        for x, y in zip(r0, r1):
+            if x or y:
+                return 2 if any(x * w - y * v for v, w in zip(r0, r1)) else 1
+        return 0
     return len(_gauss_jordan(m)[1])
 
 

@@ -48,6 +48,30 @@ class Signature(NamedTuple):
 
 
 def _signature_of_gram(gram: Mat) -> tuple[int, Signature]:
+    """Determinant and Sylvester signature of a symmetric integer matrix.
+
+    Rank 1 and 2 take a straight-line form, which returns what
+    _signature_loop returns: [[a, b], [b, c]] has det = ac - b^2; it is
+    definite of the sign of a when det > 0, indefinite when det < 0, and
+    when det = 0 its form modulo the radical has the sign of its first
+    nonzero diagonal entry, or is zero.
+    """
+    if len(gram) == 1:
+        ((a,),) = gram
+        return a, Signature(int(a > 0), int(a < 0))
+    if len(gram) == 2:
+        (a, b), (_, c) = gram
+        det = a * c - b * b
+        if det > 0:
+            return det, Signature(2, 0) if a > 0 else Signature(0, 2)
+        if det < 0:
+            return det, Signature(1, 1)
+        x = a or c
+        return 0, Signature(int(x > 0), int(x < 0))
+    return _signature_loop(gram)
+
+
+def _signature_loop(gram: Mat) -> tuple[int, Signature]:
     """Determinant and Sylvester signature by one fraction-free symmetric
     elimination.
 

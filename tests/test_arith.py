@@ -9,7 +9,7 @@ are the former trial division.  All are kept here as oracles.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -163,16 +163,71 @@ def trial_is_prime(n):
     return True
 
 
-def assert_factors_like_the_oracle(n):
+def assert_factors_like_the_oracle(n, oracle=trial_prime_factorization):
+    """The factors of n against the oracle's, as lists: the same primes,
+    exponents and ascending order.  Returns the factorization."""
     factors = prime_factorization(n)
-    expected = trial_prime_factorization(n)
-    # equal as lists: the same primes, exponents and ascending order
-    assert list(factors.items()) == list(expected.items()), n
+    assert list(factors.items()) == list(oracle(n).items()), n
+    return factors
+
+
+def assert_all_prime(primes):
+    assert all(is_prime(p) for p in set(primes))
 
 
 def test_factorization_matches_trial_division_below_2e5():
+    primes = []
     for n in range(1, 200_000):
-        assert_factors_like_the_oracle(n)
+        primes += assert_factors_like_the_oracle(n)
+    assert_all_prime(primes)
+
+
+SMALL_PRIMES = [p for p in range(_SMALL_BOUND) if trial_is_prime(p)]
+
+
+def test_squares_and_products_of_two_primes_below_the_trial_bound():
+    """p^2 and p q for every pair of primes below B = 1024 (14,878 n): the
+    small-prime part g = gcd(n, prod of the primes below B) is p or p q,
+    and its last prime is the one left over once p^2 > g.  The grid kills
+    a loop that breaks at p^3 > g (p q is left whole), one that drops the
+    leftover prime, and one that miscounts an exponent."""
+    primes = []
+    for i, p in enumerate(SMALL_PRIMES):
+        for q in SMALL_PRIMES[i:]:
+            primes += assert_factors_like_the_oracle(p * q)
+    assert_all_prime(primes)
+    assert len(SMALL_PRIMES) == 172
+
+
+def trial_then_large_factorization(n):
+    """Trial division of n itself by every prime below B, up to p^2 > n,
+    then the unchanged large path on a cofactor of B^2 or more: the small
+    part of prime_factorization as it was before it took the gcd of n with
+    the product of those primes."""
+    out = {}
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n >= _SMALL_BOUND * _SMALL_BOUND:
+        for p in sorted(latfm.arith._large_prime_factors(n)):
+            out[p] = out.get(p, 0) + 1
+    elif n > 1:
+        out[n] = 1
+    return out
+
+
+def test_factorization_matches_trial_division_on_random_n_below_1e14():
+    rng = random.Random(1014)
+    primes = []
+    for _ in range(1000):
+        n = rng.randrange(1, 10**14)
+        factors = assert_factors_like_the_oracle(n, trial_then_large_factorization)
+        assert prod(p**e for p, e in factors.items()) == n
+        primes += factors
+    assert_all_prime(primes)
 
 
 def test_primality_matches_trial_division_below_2e5():

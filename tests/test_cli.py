@@ -766,6 +766,22 @@ class TestJsonWriter:
             payload = {"gram": [[n, 1], [1, 0]]}
             assert self.emitted(payload) == json.dumps(payload, indent=2) + "\n"
 
+    def test_int_rows_match_json_dumps(self):
+        # rows of ints next to bools, None, big and negative ints and empty
+        # lists: what a faster path for int rows would have to tell apart
+        big = 10**39 + 7  # 40 digits
+        rows = [[1, True], [True, 1], [0, False, None], [-3, 0, 5], [big, -big],
+                (1, 2), [], [[]], [[], []], [[1, 2], [], [-1]], [[[]], [0]]]
+        for payload in rows + [{"gram": rows}, {"rows": [[big], [-big, 1]]}]:
+            assert self.emitted(payload) == json.dumps(payload, indent=2) + "\n"
+        assert self.emitted([1, True]) == "[\n  1,\n  true\n]\n"
+
+    @pytest.mark.parametrize("row", [[1, IntSubclass(2)], [IntSubclass(1), 2],
+                                     [[0, 1], [IntSubclass(1), 0]]])
+    def test_an_int_subclass_in_a_row_raises_type_error(self, row):
+        with pytest.raises(TypeError):
+            self.emitted(row)
+
     @pytest.mark.parametrize("payload", [1.5, {"a": [0.5]}, [float("nan")], {1: 2},
                                          {"a": {3}}, b"x", StrSubclass("sub"),
                                          [IntSubclass(1)], {"a": StrSubclass("")}])

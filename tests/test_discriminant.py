@@ -8,6 +8,7 @@ import pytest
 from latfm.discriminant import (
     DEFAULT_ORDER_BOUND,
     TRIVIAL_MODULE,
+    _checked_form,
     _generates,
     FiniteQuadraticModule,
     LatticeDiscriminant,
@@ -155,6 +156,50 @@ class TestDiscriminantModule:
             FiniteQuadraticModule(factors=(3,), generators=(), gram=((1,),))
         odd = FiniteQuadraticModule(factors=(3,), generators=(), gram=((1,),), even=False)
         assert odd.b == discriminant_module(make_lattice([[3]])).b
+
+    @pytest.mark.parametrize(
+        "factors,gram",
+        [
+            ((4.7,), ((2,),)),  # was truncated to (4,)
+            ((3,), ((2.0,),)),  # was kept as a float
+            ((True,), ((0,),)),
+            ((5,), ((True,),)),  # was read as 1
+            ((2, 4.0), ((0, 0), (0, 2))),
+            ((2, 4), ((0, 0), (0, 2.0))),
+            ((2, 4), ((False, 0), (0, 2))),
+        ],
+    )
+    def test_rejects_factors_and_form_entries_that_are_not_ints(self, factors, gram):
+        for even in (True, False):
+            with pytest.raises(LatfmError, match="must be integers"):
+                FiniteQuadraticModule(factors, (), gram, even=even)
+
+    def test_one_generator_checks_as_the_generic_form_does(self):
+        """The one-generator branch against _checked_form, the checks every
+        other rank takes: every order f in [2, 24], form entry x in
+        [-4f, 4f] and parity, and every malformed shape, by the reduced form
+        or the error message.  Both outcomes occur on the grid, so a branch
+        that skips the q check or reduces an even form mod f differs."""
+
+        def outcome(make):
+            try:
+                return make()
+            except LatfmError as err:
+                return str(err)
+
+        cases = [((f,), (), ((x,),), even)
+                 for f in range(2, 25) for x in range(-4 * f, 4 * f + 1)
+                 for even in (True, False)]
+        cases += [((1,), (), ((0,),), True), ((0,), (), ((0,),), True),
+                  ((3,), ((1,), (2,)), ((0,),), True), ((3,), (), (), True),
+                  ((3,), (), ((0, 0),), True), ((3,), (), ((0,), (0,)), True)]
+        errors = 0
+        for factors, generators, gram, even in cases:
+            branch = outcome(lambda: FiniteQuadraticModule(factors, generators, gram, even).gram)
+            generic = outcome(lambda: _checked_form(factors, generators, gram, even))
+            assert branch == generic, (factors, gram, even)
+            errors += isinstance(branch, str)
+        assert 0 < errors < len(cases)
 
 
 class TestIsometrySearch:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -170,6 +171,33 @@ class TestSmith1x1:
 
         monkeypatch.setattr(intmat, "_smith_loop", refuse)
         assert smith_normal_form(((-12,),)) == (((-1,),), ((12,),), ((1,),))
+
+
+class TestRankTwoRows:
+    """The straight-line rank of two rows against the Bareiss elimination:
+    every 2x3 with entries in [-2, 2] (5^6 = 15,625 matrices).  The grid
+    kills `if x or y` -> `if x` (on ((0, 0, 0), (0, 1, 0))), minors taken on
+    column 0 instead of the first nonzero column, and a zero matrix read as
+    rank 1."""
+
+    def test_every_small_2x3(self):
+        entries = range(-2, 3)
+        count = 0
+        for r0 in itertools.product(entries, repeat=3):
+            for r1 in itertools.product(entries, repeat=3):
+                m = (r0, r1)
+                assert rank(m) == len(intmat._gauss_jordan(m)[1]), m
+                count += 1
+        assert count == 5**6
+
+    def test_two_rows_take_the_straight_line(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("two rows went to the elimination")
+
+        monkeypatch.setattr(intmat, "_gauss_jordan", refuse)
+        assert rank(((1, 0, 0, 0), (0, 2, 1, 0))) == 2
+        assert rank(((0, 0, 0), (0, 0, 0))) == 0
+        assert rank(((0, 2, 4), (0, -1, -2))) == 1
 
 
 def test_snf_properties_random():

@@ -11,6 +11,7 @@ from latfm.errors import (
     NotSymmetricError,
     ZeroScaleError,
 )
+from latfm import lattices
 from latfm.intmat import det, rank
 from latfm.lattices import (
     E8,
@@ -369,3 +370,29 @@ class TestEliminationAgainstTheFractionOracle:
             assert not check_against_the_oracle(gram)
             with pytest.raises(DegenerateError, match="determinant zero"):
                 Lattice(gram)
+
+
+class TestSignatureStraightLine:
+    """The straight-line rank-1 and rank-2 signature against the Bareiss
+    loop it stands in for, det included: every symmetric 1x1 and 2x2 with
+    entries in [-6, 6] (13 + 13^3 = 2210 matrices), det = 0 and a zero
+    diagonal among them.  The grid kills `x = a or c` -> `x = a` (on
+    [[0, 0], [0, c]]), Signature(2, 0) and Signature(0, 2) swapped on
+    det > 0, a det of a c + b^2, and a 1x1 zero read as Signature(1, 0)."""
+
+    def test_every_small_symmetric_matrix(self):
+        entries = range(-6, 7)
+        grams = [((a,),) for a in entries]
+        grams += [((a, b), (b, c)) for a in entries for b in entries for c in entries]
+        assert len(grams) == 2210
+        for gram in grams:
+            assert _signature_of_gram(gram) == lattices._signature_loop(gram), gram
+
+    def test_small_ranks_take_the_straight_line(self, monkeypatch):
+        def refuse(gram):
+            raise AssertionError("rank <= 2 went to the loop")
+
+        monkeypatch.setattr(lattices, "_signature_loop", refuse)
+        assert _signature_of_gram(((-4,),)) == (-4, Signature(0, 1))
+        assert _signature_of_gram(((2, 3), (3, 0))) == (-9, Signature(1, 1))
+        assert _signature_of_gram(((0, 0), (0, -5))) == (0, Signature(0, 1))

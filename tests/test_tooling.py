@@ -4,6 +4,7 @@ a traced benchmark run.  The computing code stays on integers: Fraction is
 left to presentation and to the traced intmat.rational_solve."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -153,6 +154,28 @@ def test_family_searches_modules_only_for_its_attestations():
         assert metrics["lattices.orthogonal_complement.calls"] == 0
         assert metrics["discriminant.lattice_discriminant.calls"] == 0
         assert metrics["lattices.lattice_init.calls"] == 3
+
+
+# sha256 of the stdout of `family --count 3 --degree 2 --ambient A --json`
+FAMILY_3_2 = {
+    "k3": "3f3bd043b1549d6070ac203ee1360a65a7578f233e5c21d6d32093acc4a94225",
+    "abelian": "1e2561de45ff533a41bb971a3e14bc185e06f483dc70532dd42b58453efe1295",
+}
+
+
+def test_family_runs_no_bareiss_elimination(monkeypatch):
+    # the rank of a member's two-row embedding is read off its 2x2 minors,
+    # and nothing else on the family path eliminates: intmat._gauss_jordan
+    # is never called
+    def refuse(rows):
+        raise AssertionError("family ran a Bareiss elimination")
+
+    monkeypatch.setattr(latfm.intmat, "_gauss_jordan", refuse)
+    for ambient in ("k3", "abelian"):
+        argv = ["family", "--count", "3", "--degree", "2", "--ambient", ambient, "--json"]
+        out = io.StringIO()
+        assert latfm.cli.run(argv, out, io.StringIO()) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FAMILY_3_2[ambient]
 
 
 def test_each_isotropic_quotient_inverts_one_matrix(monkeypatch):
