@@ -30,15 +30,11 @@ from .lattices import (
     Lattice,
     Signature,
     SublatticeEmbedding,
-    determinant,
     direct_sum,
-    is_even,
     is_primitive,
     make_lattice,
     orthogonal_complement,
-    quotient_by_isotropic,
     rescale,
-    signature,
 )
 from .discriminant import (
     FiniteQuadraticModule,
@@ -70,12 +66,9 @@ from .mukai import (
     ModuliShadow,
     MukaiVector,
     PolarizedEmbedding,
-    distinct_classes,
     embed_polarized,
     enumerate_mukai_vectors,
     moduli_lattice_shadow,
-    mukai_pairing,
-    swap_distinctness_check,
 )
 from .family import (
     DiscIsoWitness,

@@ -83,10 +83,6 @@ def _module_payload(module) -> dict:
     }
 
 
-def _lattice_payload(lattice: Lattice) -> dict:
-    return {"rank": lattice.rank, "gram": [list(row) for row in lattice.gram]}
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 # the JSON text of a scalar, by its exact type
 _SCALAR_TEXT = {
@@ -232,6 +228,8 @@ def _cmd_family(args, out) -> int:
     if args.count < 1:
         raise UsageError("--count must be at least 1")
     bundle = build_family(args.count, d, args.ambient)
+    # the library's tuples go to the JSON writer as they are: text mode
+    # reads none of them
     payload = {
         "n": bundle.n,
         "degree": bundle.degree,
@@ -240,8 +238,8 @@ def _cmd_family(args, out) -> int:
             {
                 "d": m.d,
                 "n": m.n,
-                "lattice": _lattice_payload(m.lattice),
-                "embedding": [list(v) for v in m.embedding.basis],
+                "lattice": {"rank": m.lattice.rank, "gram": m.lattice.gram},
+                "embedding": m.embedding.basis,
             }
             for m in bundle.members
         ],
@@ -255,15 +253,15 @@ def _cmd_family(args, out) -> int:
         "attestations": [
             {
                 "rank": a.rank,
-                "signature": list(a.signature),
+                "signature": a.signature,
                 "ell": a.ell,
-                "disc_iso": [list(row) for row in a.disc_iso.matrix],
+                "disc_iso": a.disc_iso.matrix,
             }
             for a in bundle.attestations
         ],
         "polarization": {"member": 1, "square": 2 * d, "vector": [1, 0]},
         "represents_zero": [
-            {"d": m.d, "vector": list(m.represents_zero_vector)}
+            {"d": m.d, "vector": m.represents_zero_vector}
             for m in bundle.members
         ],
     }

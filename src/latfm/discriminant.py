@@ -76,6 +76,8 @@ class FiniteQuadraticModule:
                 raise LatfmError("invariant factors must all exceed 1")
             if self.generators and len(self.generators) != 1:
                 raise LatfmError("generator count does not match factor count")
+            if any(type(x) is not int for col in self.generators for x in col):
+                raise LatfmError("generator entries must be integers")
             if len(gram) != 1 or len(gram[0]) != 1:
                 raise LatfmError("form matrix has wrong shape")
             ((x,),) = gram
@@ -127,9 +129,6 @@ class FiniteQuadraticModule:
     def elements(self):
         return itertools.product(*(range(f) for f in self.factors))
 
-    def reduce(self, elem: Vec) -> Vec:
-        return tuple(a % f for a, f in zip(elem, self.factors))
-
     def element_order(self, elem: Vec) -> int:
         if not self.factors:
             return 1
@@ -164,6 +163,8 @@ def _checked_form(factors, generators, gram, even: bool):
             raise LatfmError("invariant factors must form a divisibility chain")
     if generators and len(generators) != k:
         raise LatfmError("generator count does not match factor count")
+    if any(type(x) is not int for col in generators for x in col):
+        raise LatfmError("generator entries must be integers")
     if len(gram) != k or any(len(row) != k for row in gram):
         raise LatfmError("form matrix has wrong shape")
     if any(type(x) is not int for row in gram for x in row):
@@ -300,23 +301,8 @@ class ModuleIsometry:
                 if (d * mat[i][j]) % f:
                     raise LatfmError("map is not a well-defined homomorphism")
 
-    def apply(self, elem: Vec) -> Vec:
-        return self.target.reduce(mat_vec(self.matrix, elem))
-
     def column(self, j: int) -> Vec:
         return tuple(self.matrix[i][j] for i in range(self.target.ell))
-
-    def compose(self, inner: "ModuleIsometry") -> "ModuleIsometry":
-        """self o inner (apply inner first)."""
-        if inner.target != self.source:
-            raise LatfmError("composition mismatch")
-        if inner.target.is_trivial:
-            # through the zero module; inner.matrix has no rows to read the
-            # column count from
-            mat = tuple((0,) * inner.source.ell for _ in self.target.factors)
-        else:
-            mat = compose_matrices(self.matrix, inner.matrix, self.target.factors)
-        return ModuleIsometry(inner.source, self.target, mat)
 
     def is_bijective(self) -> bool:
         if self.source.factors != self.target.factors:

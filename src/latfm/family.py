@@ -53,7 +53,6 @@ class FamilyMember:
     n: int
     lattice: Lattice
     embedding: SublatticeEmbedding  # into U + U
-    module: FiniteQuadraticModule  # closed form, checked to be A_L at construction
 
     @property
     def represents_zero_vector(self) -> Vec:
@@ -70,22 +69,7 @@ def make_member(d: int, n: int) -> FamilyMember:
     embedding = SublatticeEmbedding(
         UU, ((1, d, 0, 0), (0, n, 1, 0))
     )
-    closed = closed_form_module(d, n)
-    order = abs(lattice.det)
-    if closed.factors != ((order,) if order > 1 else ()):
-        raise LatfmError("closed-form module disagrees with |det L|")
-    if not closed.is_trivial:
-        # g/N lies in L*, has order N = |A_L| and the closed form's q: it
-        # generates A_L, so generator -> g/N is an isometry of the modules
-        (f,), (g,), ((q,),) = closed.factors, closed.generators, closed.gram
-        image = mat_vec(lattice.gram, g)
-        if (
-            any(x % f for x in image)
-            or gcd(*g, f) != 1
-            or (vec_dot(g, image) - q * f) % (2 * f * f)
-        ):
-            raise LatfmError("closed-form module is not isometric to A_L")
-    return FamilyMember(d=d, n=n, lattice=lattice, embedding=embedding, module=closed)
+    return FamilyMember(d=d, n=n, lattice=lattice, embedding=embedding)
 
 
 @dataclass(frozen=True)
@@ -236,8 +220,8 @@ def complement_genus_data(member: FamilyMember, ambient: str) -> GenusData:
     A(K) is cyclic of order n^2, read off the Smith form of -G: its
     generator is v / f with v the column of V at f = D[1][1], in the
     coordinates of that basis, as LatticeDiscriminant(K) would give it.  v
-    is checked as make_member checks its closed form: f = |det K|, -G v = 0
-    mod f and gcd(v, f) = 1, so v / f lies in K* and has order |A(K)|."""
+    is checked: f = |det K|, -G v = 0 mod f and gcd(v, f) = 1, so v / f
+    lies in K* and has order |A(K)|."""
     lattice = member.lattice
     gram = family_gram(-member.d, -member.n)  # -G
     _, diagonal, transform = smith_normal_form(gram)

@@ -175,18 +175,6 @@ def make_lattice(gram) -> Lattice:
     return Lattice(gram)
 
 
-def determinant(lattice: Lattice) -> int:
-    return lattice.det
-
-
-def is_even(lattice: Lattice) -> bool:
-    return lattice.is_even
-
-
-def signature(lattice: Lattice) -> Signature:
-    return lattice.signature
-
-
 def direct_sum(*lattices: Lattice) -> Lattice:
     if not lattices:
         raise LatfmError("direct sum of no lattices")
@@ -304,11 +292,6 @@ def isotropic_quotient(v_perp: SublatticeEmbedding, v: Vec) -> IsotropicQuotient
         _projection=w_inv[1:],
         _solve=solve,
     )
-
-
-def quotient_by_isotropic(v_perp: SublatticeEmbedding, v: Vec) -> Lattice:
-    """Lattice V/Zv for a primitive isotropic v with V = v-perp."""
-    return isotropic_quotient(v_perp, v).lattice
 
 
 def _e8_gram() -> Mat:

@@ -38,13 +38,6 @@ def _mukai_gram():
 MUKAI = Lattice(_mukai_gram())
 
 
-def mukai_pairing(x: Vec, y: Vec) -> int:
-    """Signed pairing on full rank-24 vectors."""
-    if len(x) != MUKAI.rank or len(y) != MUKAI.rank:
-        raise LatfmError("expected full rank-24 vectors")
-    return MUKAI.dot(x, y)
-
-
 @dataclass(frozen=True)
 class MukaiVector:
     """Triple (r, m.h, s) over a degree-2d polarization h; h_mult is the
@@ -83,28 +76,9 @@ def enumerate_mukai_vectors(d: int) -> tuple[MukaiVector, ...]:
     return tuple(MukaiVector(r, 1, d // r, d) for r in unitary_divisors(d))
 
 
-def distinct_classes(vectors) -> tuple[tuple[MukaiVector, ...], ...]:
-    """Classes under the swap (r, h, s) ~ (s, h, r); within a class the
-    canonical representative (r <= s) comes first."""
-    grouped: dict = {}
-    for v in vectors:
-        grouped.setdefault(v.class_key, []).append(v)
-    classes = []
-    for key in sorted(grouped):
-        members = sorted(grouped[key], key=lambda v: (v.r, v.s))
-        classes.append(tuple(members))
-    return tuple(classes)
-
-
 def class_representatives(vectors) -> tuple[tuple[int, int], ...]:
     """Canonical (r, s) with r <= s for each swap class."""
     return tuple((key[1], key[2]) for key in sorted({v.class_key for v in vectors}))
-
-
-def swap_distinctness_check(v1: MukaiVector, v2: MukaiVector) -> bool:
-    """True iff the two vectors lie in different swap classes, the lattice-level
-    marker for non-isomorphic moduli spaces."""
-    return v1.class_key != v2.class_key
 
 
 @dataclass(frozen=True)

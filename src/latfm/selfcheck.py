@@ -168,7 +168,7 @@ def check_closed_form_vs_machinery(d_max: int):
         for n in range(1, top + 1):
             if gcd(2 * d, n) != 1:
                 continue
-            member = make_member(d, n)  # raises if the cross-check fails
+            member = make_member(d, n)
             machinery = LatticeDiscriminant(member.lattice).module
             _require(
                 machinery.factors == ((n * n,) if n > 1 else ()),

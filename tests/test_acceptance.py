@@ -14,12 +14,14 @@ from math import gcd
 from latfm.discriminant import (
     discriminant_module,
     gamma_complement_map,
+    is_isometric_modules,
     orthogonal_group_of_module,
     verify_anti_isometry,
 )
 from latfm.errors import BudgetExhaustedError
 from latfm.family import (
     build_family,
+    closed_form_module,
     isometry_necessary_conditions,
     make_member,
     polarization_orbits_in_u,
@@ -123,13 +125,15 @@ def test_criterion_5_closed_form_vs_snf():
             for n in range(1, 31):
                 if gcd(2 * d, n) != 1:
                     continue
-                member = make_member(d, n)  # internal cross-check runs here
+                member = make_member(d, n)
                 machinery = discriminant_module(member.lattice)
                 if n == 1:
                     assert machinery.is_trivial
                     continue
                 assert machinery.factors == (n * n,)
-                assert member.module.q == (Fraction(-2 * d, n * n) % 2,)
+                closed = closed_form_module(d, n)
+                assert closed.q == (Fraction(-2 * d, n * n) % 2,)
+                assert is_isometric_modules(closed, machinery) is not None
 
 
 def test_criterion_6_necessity_grid():

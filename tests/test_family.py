@@ -33,6 +33,7 @@ from latfm.family import (
     polarization_orbits_in_u,
 )
 from latfm.fmcount import fm_count_rho1
+from latfm.intmat import mat_vec, vec_dot
 from latfm.lattices import (
     Signature,
     is_primitive,
@@ -42,12 +43,35 @@ from latfm.lattices import (
 )
 
 
+def closed_form_failure(lattice, module):
+    """None when the cyclic module is A_L through its generator g / f, else
+    the check it fails: "order" when its factors are not (|det L|,), and
+    "generator" when G g != 0 mod f (g / f is no dual vector), gcd(g, f) != 1
+    (g / f has order below f) or g.G.g / f^2 is not its q mod 2Z."""
+    order = abs(lattice.det)
+    if module.factors != ((order,) if order > 1 else ()):
+        return "order"
+    if module.is_trivial:
+        return None
+    (f,), (g,), ((q,),) = module.factors, module.generators, module.gram
+    image = mat_vec(lattice.gram, g)
+    if (
+        any(x % f for x in image)
+        or gcd(*g, f) != 1
+        or (vec_dot(g, image) - q * f) % (2 * f * f)
+    ):
+        return "generator"
+    return None
+
+
 class TestMakeMember:
     def test_basic(self):
         member = make_member(1, 3)
         assert member.lattice.det == -9
-        assert member.module.factors == (9,)
-        assert member.module.q == (Fraction(16, 9),)  # -2/9 mod 2Z
+        closed = closed_form_module(1, 3)
+        assert closed.factors == (9,)
+        assert closed.q == (Fraction(16, 9),)  # -2/9 mod 2Z
+        assert closed_form_failure(member.lattice, closed) is None
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprimeError):
@@ -55,7 +79,8 @@ class TestMakeMember:
 
     def test_large_prime(self):
         member = make_member(1, 17)
-        assert member.module.order == 289
+        assert discriminant_module(member.lattice).order == 289
+        assert closed_form_module(1, 17).order == 289
 
     def test_embedding_primitive_and_represents_zero(self):
         for d, n in ((1, 3), (2, 5), (6, 83)):
@@ -65,15 +90,24 @@ class TestMakeMember:
             assert member.lattice.square((1, 0)) == 2 * d
 
     def test_closed_form_matches_machinery_grid(self):
-        for d in range(1, 13):
-            for n in range(1, 13):
+        for d in range(1, 31):
+            for n in range(1, 31):
                 if gcd(2 * d, n) != 1:
                     continue
-                member = make_member(d, n)  # checks its generator internally
+                member = make_member(d, n)
                 assert member.lattice.det == -n * n
-                machinery = discriminant_module(member.lattice)
-                assert machinery.factors == member.module.factors
-                assert is_isometric_modules(member.module, machinery) is not None
+                closed = closed_form_module(d, n)
+                assert closed_form_failure(member.lattice, closed) is None
+                if d <= 12 and n <= 12:
+                    machinery = discriminant_module(member.lattice)
+                    assert machinery.factors == closed.factors
+                    assert is_isometric_modules(closed, machinery) is not None
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_family_members_carry_the_closed_form(self, d):
+        for member in build_family(4, d).members:
+            closed = closed_form_module(member.d, member.n)
+            assert closed_form_failure(member.lattice, closed) is None
 
     @pytest.mark.parametrize(
         "qval,generator",
@@ -88,20 +122,16 @@ class TestMakeMember:
         ],
         ids=["qval0-generator0", "qval1-generator1", "qval2-generator2"],
     )
-    def test_closed_form_checked_through_its_generator(self, monkeypatch, qval, generator):
+    def test_closed_form_checked_through_its_generator(self, qval, generator):
         # -1 is not a square mod 3, so a q of +2/9 is no isometric module;
         # 3 g has the q of its closed form but generates a subgroup of order 3
         wrong = cyclic_module(9, qval, generator=generator)
-        monkeypatch.setattr(family, "closed_form_module", lambda d, n: wrong)
-        with pytest.raises(LatfmError, match="^closed-form module is not isometric"):
-            make_member(1, 3)
+        assert closed_form_failure(make_member(1, 3).lattice, wrong) == "generator"
 
-    def test_closed_form_order_checked_against_the_determinant(self, monkeypatch):
+    def test_closed_form_order_checked_against_the_determinant(self):
         # L_(1,3) has |det| 9; a cyclic module of order 25 cannot be A_L
         wrong = cyclic_module(25, -2, generator=(5, -2))
-        monkeypatch.setattr(family, "closed_form_module", lambda d, n: wrong)
-        with pytest.raises(LatfmError, match="^closed-form module disagrees"):
-            make_member(1, 3)
+        assert closed_form_failure(make_member(1, 3).lattice, wrong) == "order"
 
 
 class TestDiscWitness:
@@ -283,6 +313,23 @@ class TestBuildFamily:
                     assert member.represents_zero_vector == (0, 1)
                     assert member.lattice.square((0, 1)) == 0
                 assert bundle.members[0].lattice.square((1, 0)) == 2 * d
+
+    @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+    def test_one_cyclic_module_per_complement(self, monkeypatch, ambient):
+        # the members build no module of their own: the only cyclic modules
+        # are the complements' A(K), one per member
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cyclic_module(*args, **kwargs)
+
+        monkeypatch.setattr(family, "cyclic_module", counted)
+        for count in range(1, 5):
+            for d in (1, 2, 3):
+                calls.clear()
+                build_family(count, d, ambient)
+                assert len(calls) == count, (count, d)
 
     def test_member_embedding_extends_to_k3(self):
         member = make_member(1, 17)

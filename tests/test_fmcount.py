@@ -166,7 +166,9 @@ def mulclose(isos):
         nxt = []
         for a in frontier:
             for b in list(seen.values()):
-                for c in (a.compose(b), b.compose(a)):
+                for outer, inner in ((a, b), (b, a)):
+                    c = ModuleIsometry(inner.source, outer.target, compose_matrices(
+                        outer.matrix, inner.matrix, outer.target.factors))
                     if c.matrix not in seen:
                         seen[c.matrix] = c
                         nxt.append(c)

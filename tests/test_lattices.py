@@ -23,15 +23,11 @@ from latfm.lattices import (
     SublatticeEmbedding,
     _signature_of_gram,
     direct_sum,
-    determinant,
-    is_even,
     is_primitive,
     isotropic_quotient,
     make_lattice,
     orthogonal_complement,
-    quotient_by_isotropic,
     rescale,
-    signature,
 )
 from latfm.mukai import MUKAI, enumerate_mukai_vectors, moduli_lattice_shadow
 
@@ -63,15 +59,15 @@ def random_lattices(count, seed, max_rank=3):
 
 class TestConstruction:
     def test_hyperbolic_plane(self):
-        assert determinant(U) == -1
+        assert U.det == -1
 
     def test_family_matrix(self):
         lat = make_lattice([[2, 3], [3, 0]])
-        assert determinant(lat) == -9
+        assert lat.det == -9
 
     def test_rank_one(self):
         for d in (1, 2, 5):
-            assert determinant(make_lattice([[2 * d]])) == 2 * d
+            assert make_lattice([[2 * d]]).det == 2 * d
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
@@ -88,15 +84,15 @@ class TestConstruction:
 
 class TestInvariants:
     def test_is_even(self):
-        assert is_even(U)
-        assert is_even(make_lattice([[2, 3], [3, 0]]))
-        assert not is_even(make_lattice([[1]]))
+        assert U.is_even
+        assert make_lattice([[2, 3], [3, 0]]).is_even
+        assert not make_lattice([[1]]).is_even
 
     def test_signature_u(self):
-        assert signature(U) == Signature(1, 1)
+        assert U.signature == Signature(1, 1)
 
     def test_signature_e8(self):
-        assert signature(E8_MINUS) == Signature(0, 8)
+        assert E8_MINUS.signature == Signature(0, 8)
         # independent route: E8 is positive definite by its leading minors
         assert leading_minors_positive(E8)
 
@@ -104,20 +100,20 @@ class TestInvariants:
         for d in (1, 2, 5):
             for n in (1, 3, 7):
                 lat = make_lattice([[2 * d, n], [n, 0]])
-                assert signature(lat) == Signature(1, 1)
+                assert lat.signature == Signature(1, 1)
 
     def test_k3_lattice(self):
         assert K3.rank == 22
-        assert determinant(K3) == -1
-        assert signature(K3) == Signature(3, 19)
-        assert is_even(K3)
+        assert K3.det == -1
+        assert K3.signature == Signature(3, 19)
+        assert K3.is_even
 
     def test_signature_consistent_with_det_rank2(self):
         # independent cross-check: for rank 2, det < 0 iff signature (1,1)
         for lat in random_lattices(30, seed=99, max_rank=2):
             if lat.rank != 2:
                 continue
-            sig = signature(lat)
+            sig = lat.signature
             if lat.det < 0:
                 assert sig == Signature(1, 1)
             else:
@@ -131,11 +127,11 @@ class TestSumsAndRescale:
 
     def test_uu(self):
         assert UU.rank == 4
-        assert determinant(UU) == 1
+        assert UU.det == 1
 
     def test_rank_one_sum(self):
         s = direct_sum(make_lattice([[2]]), make_lattice([[-2]]))
-        assert determinant(s) == -4
+        assert s.det == -4
 
     def test_det_and_signature_random(self):
         lats = random_lattices(10, seed=12)
@@ -169,7 +165,7 @@ class TestComplements:
             comp = orthogonal_complement(SublatticeEmbedding(K3, (h,)))
             assert comp.rank == 21
             lat = comp.lattice()
-            assert signature(lat) == Signature(2, 19)
+            assert lat.signature == Signature(2, 19)
             assert abs(lat.det) == 2 * d  # unimodular ambient: |det V| = |det V-perp|
 
     def test_family_complement_in_uu(self):
@@ -177,7 +173,7 @@ class TestComplements:
             emb = SublatticeEmbedding(UU, ((1, d, 0, 0), (0, n, 1, 0)))
             comp = orthogonal_complement(emb)
             assert comp.rank == 2
-            assert signature(comp.lattice()) == Signature(1, 1)
+            assert comp.lattice().signature == Signature(1, 1)
             assert abs(comp.lattice().det) == n * n
 
     def test_first_u_factor(self):
@@ -220,29 +216,29 @@ class TestIsotropicQuotient:
     def test_uu_by_basis_vector(self):
         v = (1, 0, 0, 0)
         vperp = orthogonal_complement(SublatticeEmbedding(UU, (v,)))
-        quotient = quotient_by_isotropic(vperp, v)
+        quotient = isotropic_quotient(vperp, v).lattice
         assert quotient.rank == 2
         assert quotient.det == -1
         assert quotient.is_even
-        assert signature(quotient) == Signature(1, 1)
+        assert quotient.signature == Signature(1, 1)
 
     def test_not_isotropic(self):
         v = (1, 1, 0, 0)  # square 2
         vperp = orthogonal_complement(SublatticeEmbedding(UU, (v,)))
         with pytest.raises(NotIsotropicError):
-            quotient_by_isotropic(vperp, v)
+            isotropic_quotient(vperp, v)
 
     def test_not_primitive(self):
         v = (1, 0, 0, 0)
         vperp = orthogonal_complement(SublatticeEmbedding(UU, (v,)))
         with pytest.raises(NotPrimitiveError):
-            quotient_by_isotropic(vperp, (2, 0, 0, 0))
+            isotropic_quotient(vperp, (2, 0, 0, 0))
 
     def test_wrong_sublattice(self):
         v = (1, 0, 0, 0)
         small = SublatticeEmbedding(UU, ((1, 0, 0, 0), (0, 0, 1, 0)))
         with pytest.raises(LatfmError):
-            quotient_by_isotropic(small, v)
+            isotropic_quotient(small, v)
 
     def test_project_rejects_vector_outside_sublattice(self):
         v = (1, 0, 0, 0)

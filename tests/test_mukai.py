@@ -4,19 +4,16 @@ from math import gcd
 
 import pytest
 
-from latfm.errors import LatfmError, NotIsotropicError, NotPrimitiveError
+from latfm.errors import NotIsotropicError, NotPrimitiveError
 from latfm.fmcount import fm_count_rho1
 from latfm.lattices import K3, Signature, SublatticeEmbedding, orthogonal_complement
 from latfm.mukai import (
     MUKAI,
     MukaiVector,
     class_representatives,
-    distinct_classes,
     embed_polarized,
     enumerate_mukai_vectors,
     moduli_lattice_shadow,
-    mukai_pairing,
-    swap_distinctness_check,
 )
 
 
@@ -39,15 +36,11 @@ class TestMukaiLattice:
 
     def test_pairing_examples(self):
         one_one = (1,) + (0,) * 22 + (1,)
-        assert mukai_pairing(one_one, one_one) == -2
+        assert MUKAI.dot(one_one, one_one) == -2
         for d in (1, 3):
             emb = embed_polarized(d)
             h24 = (0,) + emb.h + (0,)
-            assert mukai_pairing(h24, h24) == 2 * d
-
-    def test_pairing_length_check(self):
-        with pytest.raises(LatfmError):
-            mukai_pairing((1, 0), (0, 1))
+            assert MUKAI.dot(h24, h24) == 2 * d
 
 
 class TestEnumeration:
@@ -80,9 +73,10 @@ class TestClasses:
     def test_d15_classes(self):
         vectors = enumerate_mukai_vectors(15)
         assert class_representatives(vectors) == ((1, 15), (3, 5))
-        classes = distinct_classes(vectors)
-        assert len(classes) == 2
-        assert [(v.r, v.s) for v in classes[0]] == [(1, 15), (15, 1)]
+        classes: dict = {}
+        for v in vectors:
+            classes.setdefault(v.class_key, []).append((v.r, v.s))
+        assert sorted(classes.values()) == [[(1, 15), (15, 1)], [(3, 5), (5, 3)]]
 
     @pytest.mark.parametrize("d,count", [(1, 1), (8, 1), (15, 2), (30, 4), (210, 8)])
     def test_counts(self, d, count):
@@ -98,9 +92,8 @@ class TestClasses:
         v35 = MukaiVector(3, 1, 5, 15)
         v53 = MukaiVector(5, 1, 3, 15)
         v115 = MukaiVector(1, 1, 15, 15)
-        assert not swap_distinctness_check(v35, v53)
-        assert swap_distinctness_check(v115, v35)
-        assert not swap_distinctness_check(v35, v35)
+        assert v35.class_key == v53.class_key
+        assert v115.class_key != v35.class_key
 
 
 class TestPolarizedEmbedding:
@@ -125,7 +118,7 @@ class TestPolarizedEmbedding:
         emb = embed_polarized(6)
         for v in enumerate_mukai_vectors(6):
             v24 = emb.embed(v)
-            assert mukai_pairing(v24, v24) == 0
+            assert MUKAI.dot(v24, v24) == 0
             assert sum(x != 0 for x in v24) >= 2
 
 
@@ -205,4 +198,4 @@ class TestModuliShadow:
                 for vec in perp.basis:
                     b_middle = vec[1:23]
                     bh = K3.dot(b_middle, emb.h)
-                    assert (mukai_pairing(vec, ns24) + bh) % v.r == 0
+                    assert (MUKAI.dot(vec, ns24) + bh) % v.r == 0

@@ -8,6 +8,7 @@ from latfm import binary, fmcount, oracle
 from latfm.arith import unit_square_roots
 from latfm.discriminant import (
     ModuleIsometry,
+    compose_matrices,
     discriminant_module,
     identity_isometry,
     negation_isometry,
@@ -272,9 +273,10 @@ def all_pairs_double_coset_count(left, full, right):
     full_index = {iso.matrix: i for i, iso in enumerate(full)}
     if len(full_index) != len(full):
         raise LatfmError("full group contains duplicates")
+    factors = module.factors
     for a in full:
         for b in full:
-            if a.compose(b).matrix not in full_index:
+            if compose_matrices(a.matrix, b.matrix, factors) not in full_index:
                 raise NotSubgroupError("full set is not closed under composition")
 
     def as_group(isos):
@@ -290,7 +292,7 @@ def all_pairs_double_coset_count(left, full, right):
     for group, idx_set in ((left, left_idx), (right, right_idx)):
         for a in group:
             for b in group:
-                if full_index[a.compose(b).matrix] not in idx_set:
+                if full_index[compose_matrices(a.matrix, b.matrix, factors)] not in idx_set:
                     raise NotSubgroupError("factor is not closed under composition")
     parent = list(range(len(full)))
 
@@ -301,9 +303,9 @@ def all_pairs_double_coset_count(left, full, right):
 
     for i, x in enumerate(full):
         for li in left_idx:
-            lx = full[li].compose(x)
+            lx = compose_matrices(full[li].matrix, x.matrix, factors)
             for ri in right_idx:
-                y = find(full_index[lx.compose(full[ri]).matrix])
+                y = find(full_index[compose_matrices(lx, full[ri].matrix, factors)])
                 if find(i) != y:
                     parent[y] = find(i)
     return len({find(i) for i in range(len(full))})

@@ -1,7 +1,8 @@
 """The per-layer tracer of the benchmark (perfbench/spans.py) names only
 bindings that exist, so renaming a traced helper fails here and not only in
 a traced benchmark run.  The computing code stays on integers: Fraction is
-left to presentation and to the traced intmat.rational_solve."""
+left to presentation and to the traced intmat.rational_solve.  src/latfm
+holds no function or method that only the tests call, bar a named few."""
 
 import ast
 import hashlib
@@ -129,9 +130,9 @@ def test_square_discriminant_isometries_need_no_search(gram1, gram2, searches):
 
 
 def test_family_searches_modules_only_for_its_attestations():
-    # three members: three pairs to attest; each member's closed form is
-    # checked through its generator, each complement is L_{d,n}(-1) and the
-    # embedding is primitive by its basis, so a member costs one 2x2 SNF,
+    # three members: three pairs to attest; a member builds no module of
+    # its own, each complement is L_{d,n}(-1) and the embedding is
+    # primitive by its basis, so a member costs one 2x2 SNF,
     # for its complement's module, and one Lattice, its own: the module is
     # read off the Smith form with no LatticeDiscriminant and no rescaled
     # Lattice of the complement
@@ -296,3 +297,72 @@ def test_the_memo_inventory_is_pinned():
     }
     # the tests start each one cold
     assert latfm.fmcount._member_term in MEMOS
+
+
+# names in src/latfm that nothing in src/latfm calls, kept for the tests
+TEST_ORACLES = {
+    "intmat.complete_primitive_vector_gcd":
+        "the gcd-chain completion checked against the Smith one",
+    "family.embed_member": "the full-ambient path the split complement is checked against",
+    "discriminant.verify_isometry": "checks the witnesses of is_isometric_modules",
+}
+
+
+def unread_names():
+    """Top-level functions and classes of src/latfm that no live code names,
+    and non-dunder methods and properties that no live code reads as an
+    attribute.  A reference is live unless it lies inside the definition it
+    names or inside a definition that is itself unread; __init__.py only
+    re-exports, and the tracer's targets and TEST_ORACLES are roots."""
+    defs = {}  # "module.name" or "module.Class.method" -> (path, kind, name, first, last)
+    refs = []  # (path, kind, name, line)
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{path.stem}.{node.name}"] = (
+                    path, "name", node.name, node.lineno, node.end_lineno)
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                        defs[f"{path.stem}.{node.name}.{sub.name}"] = (
+                            path, "attr", sub.name, sub.lineno, sub.end_lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.append((path, "name", node.id, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                refs += [(path, "name", alias.name, node.lineno) for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, "attr", node.attr, node.lineno))
+    roots = {f"{module.split('.')[-1]}.{attr}" for _, module, attr, _ in load_spans().TARGETS}
+    roots |= set(TEST_ORACLES)
+
+    def within(key, path, line):
+        where, _, _, first, last = defs[key]
+        return where == path and first <= line <= last
+
+    unread = set()
+    while True:
+        live = [
+            (kind, name, path, line) for path, kind, name, line in refs
+            if not any(within(key, path, line) for key in unread)
+        ]
+        more = {
+            key for key, (_, kind, name, _, _) in defs.items()
+            if key not in unread and key not in roots and not any(
+                (k, n) == (kind, name) and not within(key, path, line)
+                for k, n, path, line in live)
+        }
+        if not more:
+            return unread
+        unread |= more
+
+
+def test_src_holds_no_name_only_the_tests_read():
+    assert unread_names() == set()
+    # each oracle is still defined, so the allowlist names nothing stale
+    for key in TEST_ORACLES:
+        module, name = key.split(".")
+        assert callable(getattr(importlib.import_module(f"latfm.{module}"), name)), key
