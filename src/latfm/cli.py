@@ -129,6 +129,84 @@ def _emit_json(out, payload):
     print(_json_text(payload), file=out)
 
 
+def _int_array(values, newline: str) -> str:
+    """_json_text(values, newline) of a sequence of ints."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + newline + "]"
+
+
+def _int_matrix(rows, newline: str) -> str:
+    """_json_text(rows, newline) of a sequence of int sequences."""
+    if not rows:
+        return "[]"
+    inner = newline + "  "
+    texts = [_int_array(row, inner) for row in rows]
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _items(texts) -> str:
+    """A top-level array of objects, each written at indentation 4."""
+    return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+
+
+# the family command's JSON schema, as json.dumps(payload, indent=2) writes
+# it: the whole text, then one template per array item
+_FAMILY = (
+    '{\n  "n": %s,\n  "degree": %s,\n  "ambient": %s,\n  "members": %s,\n'
+    '  "witnesses": %s,\n  "certificates": %s,\n  "attestations": %s,\n'
+    '  "polarization": {\n    "member": 1,\n    "square": %s,\n'
+    '    "vector": [\n      1,\n      0\n    ]\n  },\n  "represents_zero": %s\n}'
+)
+_MEMBER = (
+    '{\n      "d": %s,\n      "n": %s,\n      "lattice": {\n        "rank": %s,\n'
+    '        "gram": %s\n      },\n      "embedding": %s\n    }'
+)
+_WITNESS = '{\n      "d1": %s,\n      "d2": %s,\n      "n": %s,\n      "alpha": %s\n    }'
+_CERTIFICATE = '{\n      "d1": %s,\n      "d2": %s,\n      "n": %s\n    }'
+_ATTESTATION = (
+    '{\n      "rank": %s,\n      "signature": %s,\n      "ell": %s,\n'
+    '      "disc_iso": %s\n    }'
+)
+_ZERO = '{\n      "d": %s,\n      "vector": %s\n    }'
+
+
+def _family_json(bundle) -> str:
+    """json.dumps(payload, indent=2) of the family payload, written straight
+    from the bundle: its fields go through int.__repr__, _encode_str and
+    the int writers above, which raise TypeError on what they cannot
+    write."""
+    text = int.__repr__
+    six, eight = "\n      ", "\n        "
+    members = [
+        _MEMBER % (text(m.d), text(m.n), text(m.lattice.rank),
+                   _int_matrix(m.lattice.gram, eight), _int_matrix(m.embedding.basis, six))
+        for m in bundle.members
+    ]
+    witnesses = [
+        _WITNESS % (text(w.d1), text(w.d2), text(w.n), text(w.alpha))
+        for w in bundle.witnesses
+    ]
+    certificates = [
+        _CERTIFICATE % (text(c.d1), text(c.d2), text(c.n)) for c in bundle.certificates
+    ]
+    attestations = [
+        _ATTESTATION % (text(a.rank), _int_array(a.signature, six), text(a.ell),
+                        _int_matrix(a.disc_iso.matrix, six))
+        for a in bundle.attestations
+    ]
+    zeros = [
+        _ZERO % (text(m.d), _int_array(m.represents_zero_vector, six))
+        for m in bundle.members
+    ]
+    return _FAMILY % (
+        text(bundle.n), text(bundle.degree), _encode_str(bundle.ambient),
+        _items(members), _items(witnesses), _items(certificates),
+        _items(attestations), text(bundle.degree), _items(zeros),
+    )
+
+
 def _cmd_fm_count(args, out) -> int:
     if (args.degree is None) == (args.range is None):
         raise UsageError("provide exactly one of --degree or --range")
@@ -228,45 +306,8 @@ def _cmd_family(args, out) -> int:
     if args.count < 1:
         raise UsageError("--count must be at least 1")
     bundle = build_family(args.count, d, args.ambient)
-    # the library's tuples go to the JSON writer as they are: text mode
-    # reads none of them
-    payload = {
-        "n": bundle.n,
-        "degree": bundle.degree,
-        "ambient": bundle.ambient,
-        "members": [
-            {
-                "d": m.d,
-                "n": m.n,
-                "lattice": {"rank": m.lattice.rank, "gram": m.lattice.gram},
-                "embedding": m.embedding.basis,
-            }
-            for m in bundle.members
-        ],
-        "witnesses": [
-            {"d1": w.d1, "d2": w.d2, "n": w.n, "alpha": w.alpha}
-            for w in bundle.witnesses
-        ],
-        "certificates": [
-            {"d1": c.d1, "d2": c.d2, "n": c.n} for c in bundle.certificates
-        ],
-        "attestations": [
-            {
-                "rank": a.rank,
-                "signature": a.signature,
-                "ell": a.ell,
-                "disc_iso": a.disc_iso.matrix,
-            }
-            for a in bundle.attestations
-        ],
-        "polarization": {"member": 1, "square": 2 * d, "vector": [1, 0]},
-        "represents_zero": [
-            {"d": m.d, "vector": m.represents_zero_vector}
-            for m in bundle.members
-        ],
-    }
     if args.json:
-        _emit_json(out, payload)
+        print(_family_json(bundle), file=out)
     else:
         print(f"n = {bundle.n}", file=out)
         print(f"members: d = {[m.d for m in bundle.members]}", file=out)

@@ -264,7 +264,12 @@ def discriminant_module(lattice: Lattice) -> FiniteQuadraticModule:
 
 def compose_matrices(outer: Mat, inner: Mat, factors) -> Mat:
     """outer . inner with row i reduced mod factors[i]: the generator matrix
-    of outer o inner when factors are those of the target of outer."""
+    of outer o inner when factors are those of the target of outer.  The
+    column count is read off inner's rows, so through a trivial middle
+    module (inner with no rows) only a trivial target (outer with no rows)
+    composes; any other target raises LatfmError."""
+    if outer and not inner:
+        raise LatfmError("cannot compose through a trivial module into a nontrivial one")
     cols = tuple(zip(*inner))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % f for col in cols)

@@ -267,12 +267,18 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
     certificates = []
     attestations = []
     profiles = [complement_genus_data(m, ambient) for m in members]
+    # n is an odd prime above d^2 count^4, so d and every i <= count are
+    # units mod n^2, and (Z/n^2)* is cyclic: d i^2 alpha^2 = d j^2 has
+    # exactly the roots alpha = +-j/i, the least of which is the witness
+    # disc_groups_isomorphic finds.  DiscIsoWitness checks it.
+    square = n * n
     for i in range(count):
+        inverse = pow(i + 1, -1, square)
         for j in range(i + 1, count):
-            witness = disc_groups_isomorphic(d_values[i], n, d_values[j], n)
-            if witness is None:
-                raise LatfmError("family construction lost its isometry witness")
-            witnesses.append(witness)
+            root = (j + 1) * inverse % square
+            witnesses.append(
+                DiscIsoWitness(d_values[i], d_values[j], n, min(root, square - root))
+            )
             conditions = isometry_necessary_conditions(d_values[i], d_values[j], n)
             if conditions.certificate is None:
                 raise LatfmError("family construction lost its certificate")

@@ -12,12 +12,13 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import family_grid
 
 from latfm import cli
 from latfm.arith import MR_LIMIT, prime_factorization
 from latfm.cli import COMMANDS, run
 from latfm.discriminant import cyclic_module
-from latfm.family import GenusData
+from latfm.family import GenusData, build_family
 from latfm.lattices import Lattice
 import latfm.fmcount
 import latfm.selfcheck
@@ -202,7 +203,57 @@ class TestMukai:
         assert "class {3, 5}" in out
 
 
+def family_payload(bundle, d) -> dict:
+    """The payload of `family --count N --degree 2d --json` as a dict, the
+    oracle of the command's own JSON writer: its text is
+    json.dumps(payload, indent=2)."""
+    return {
+        "n": bundle.n,
+        "degree": bundle.degree,
+        "ambient": bundle.ambient,
+        "members": [
+            {
+                "d": m.d,
+                "n": m.n,
+                "lattice": {"rank": m.lattice.rank, "gram": m.lattice.gram},
+                "embedding": m.embedding.basis,
+            }
+            for m in bundle.members
+        ],
+        "witnesses": [
+            {"d1": w.d1, "d2": w.d2, "n": w.n, "alpha": w.alpha}
+            for w in bundle.witnesses
+        ],
+        "certificates": [
+            {"d1": c.d1, "d2": c.d2, "n": c.n} for c in bundle.certificates
+        ],
+        "attestations": [
+            {
+                "rank": a.rank,
+                "signature": a.signature,
+                "ell": a.ell,
+                "disc_iso": a.disc_iso.matrix,
+            }
+            for a in bundle.attestations
+        ],
+        "polarization": {"member": 1, "square": 2 * d, "vector": [1, 0]},
+        "represents_zero": [
+            {"d": m.d, "vector": m.represents_zero_vector}
+            for m in bundle.members
+        ],
+    }
+
+
 class TestFamily:
+    def test_json_is_json_dumps_of_the_payload(self):
+        # every (count, d) the benchmark runs, and every count <= 6, d <= 40
+        for count, d in family_grid():
+            for ambient in ("k3", "abelian"):
+                argv = ["family", "--count", str(count), "--degree", str(2 * d),
+                        "--ambient", ambient, "--json"]
+                payload = family_payload(build_family(count, d, ambient), d)
+                assert invoke(argv) == (0, json.dumps(payload, indent=2) + "\n", ""), argv
+
     def test_bundle(self):
         code, out, _ = invoke(["family", "--count", "2", "--degree", "2", "--json"])
         assert code == 0

@@ -493,8 +493,8 @@ def random_homomorphism(rng, source, target):
 
 
 def test_compose_matches_the_column_formula():
-    # compose_matrices reads the column count off inner's rows, so the
-    # middle module is never trivial here, as on every production path
+    # compose_matrices reads the column count off inner's rows, so through
+    # a trivial middle module it composes only into a trivial target
     modules = [TRIVIAL_MODULE] + [
         discriminant_module(make_lattice(g))
         for g in ([[2]], [[12]], [[2, 1], [1, 2]], [[2, 0], [0, 4]], [[4, 0], [0, 4]],
@@ -505,9 +505,14 @@ def test_compose_matches_the_column_formula():
         for _ in range(3):
             f = random_homomorphism(rng, a, b)
             g = random_homomorphism(rng, b, c)
-            if not b.is_trivial:
-                composed = compose_matrices(g.matrix, f.matrix, c.factors)
-                assert composed == column_compose(g, f), (a.factors, b.factors, c.factors)
+            if b.is_trivial and not c.is_trivial:
+                with pytest.raises(LatfmError, match="trivial"):
+                    compose_matrices(g.matrix, f.matrix, c.factors)
+                continue
+            composed = compose_matrices(g.matrix, f.matrix, c.factors)
+            assert composed == column_compose(g, f), (a.factors, b.factors, c.factors)
+            if c.is_trivial:
+                assert composed == ()
 
 
 class FractionLatticeDiscriminant:

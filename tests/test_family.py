@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from conftest import family_grid
 
 from latfm import discriminant, family, intmat, lattices
 from latfm.cli import run
@@ -177,6 +178,18 @@ class TestDiscWitness:
     def test_witness_validation(self):
         with pytest.raises(LatfmError):
             disc_groups_isomorphic(2, 4, 2, 4)  # not coprime
+
+    def test_family_witnesses_are_the_least_roots(self):
+        # build_family writes alpha = +-j/i mod n^2 in closed form; the
+        # root search finds the same least root for every pair
+        for count, d in family_grid():
+            bundle = build_family(count, d, "abelian")
+            n = bundle.n
+            expected = tuple(
+                disc_groups_isomorphic(d * i * i, n, d * j * j, n)
+                for i in range(1, count + 1) for j in range(i + 1, count + 1)
+            )
+            assert bundle.witnesses == expected, (count, d)
 
 
 class TestNecessaryConditions:

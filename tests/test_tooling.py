@@ -7,13 +7,12 @@ holds no function or method that only the tests call, bar a named few."""
 import ast
 import hashlib
 import importlib
-import importlib.util
 import io
 import sys
 from pathlib import Path
 
 import pytest
-from conftest import MEMOS
+from conftest import MEMOS, load_perfbench_module
 
 import latfm.arith
 import latfm.cli  # noqa: F401  (loads every latfm module)
@@ -21,15 +20,12 @@ import latfm.fmcount
 import latfm.intmat
 import latfm.mukai
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 SRC = Path(latfm.cli.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench_module("spans")
 
 
 def test_every_trace_target_resolves():
@@ -179,6 +175,21 @@ def test_family_runs_no_bareiss_elimination(monkeypatch):
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FAMILY_3_2[ambient]
 
 
+def test_family_json_runs_no_generic_writer_and_no_root_search(monkeypatch):
+    # the command writes its schema straight from the bundle, and each pair
+    # witness is +-j/i mod n^2 in closed form
+    def refuse(*args):
+        raise AssertionError("family ran the generic writer or the root search")
+
+    monkeypatch.setattr(latfm.cli, "_json_text", refuse)
+    monkeypatch.setattr(latfm.family, "disc_groups_isomorphic", refuse)
+    for ambient in ("k3", "abelian"):
+        argv = ["family", "--count", "3", "--degree", "2", "--ambient", ambient, "--json"]
+        out = io.StringIO()
+        assert latfm.cli.run(argv, out, io.StringIO()) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FAMILY_3_2[ambient]
+
+
 def test_each_isotropic_quotient_inverts_one_matrix(monkeypatch):
     # the Smith completion returns W^-1 with W, so the quotient's projection
     # costs no second inversion
@@ -274,6 +285,19 @@ def test_fractions_are_left_to_presentation():
     ]
     assert len(printed) == 2
     assert uses(tree) == set().union(*map(uses, printed))
+
+
+def test_the_code_imports_only_the_standard_library():
+    # top-level names of every import in src/latfm and tests, relative
+    # imports aside; pytest is the one dependency, of the tests
+    imported = set()
+    for path in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"latfm", "pytest", "conftest"}
 
 
 def test_the_memo_inventory_is_pinned():
