@@ -168,10 +168,10 @@ class NikulinAttestation:
     disc_iso: ModuleIsometry
 
 
-def check_nikulin_hypotheses(t1: GenusData, t2: GenusData) -> NikulinAttestation:
-    """Verify: equal indefinite signatures, rank >= 2 + ell(A), and isometric
-    discriminant modules.  Raises HypothesisFailedError naming the first
-    hypothesis that fails."""
+def _check_genus_hypotheses(t1: GenusData, t2: GenusData) -> int:
+    """The hypotheses on the genera that leave out the discriminant modules:
+    equal indefinite signatures and rank >= 2 + ell(A).  Returns ell(A);
+    raises HypothesisFailedError naming the first hypothesis that fails."""
     if t1.signature != t2.signature:
         raise HypothesisFailedError(
             "signature", f"signatures differ: {t1.signature} vs {t2.signature}"
@@ -185,6 +185,19 @@ def check_nikulin_hypotheses(t1: GenusData, t2: GenusData) -> NikulinAttestation
         raise HypothesisFailedError(
             "rank", f"rank {t1.rank} < 2 + ell(A) = {2 + ell}"
         )
+    return ell
+
+
+def check_nikulin_hypotheses(t1: GenusData, t2: GenusData) -> NikulinAttestation:
+    """Verify: equal indefinite signatures, rank >= 2 + ell(A), and isometric
+    discriminant modules.  Raises HypothesisFailedError naming the first
+    hypothesis that fails.
+
+    The general path: it finds the module isometry by the search of
+    is_isometric_modules.  build_family attests its own pairs in closed form
+    and does not call it; the tests and selftest hold it as the oracle of
+    that closed form."""
+    ell = _check_genus_hypotheses(t1, t2)
     iso = is_isometric_modules(t1.module, t2.module)
     if iso is None:
         raise HypothesisFailedError(
@@ -192,6 +205,31 @@ def check_nikulin_hypotheses(t1: GenusData, t2: GenusData) -> NikulinAttestation
         )
     return NikulinAttestation(
         rank=t1.rank, signature=t1.signature, ell=ell, disc_iso=iso
+    )
+
+
+def _attest_cyclic_pair(t1: GenusData, t2: GenusData, alpha: int) -> NikulinAttestation:
+    """check_nikulin_hypotheses with the module isometry given: g1 -> alpha g2
+    on two cyclic modules of one order f.  alpha must be a unit mod f with
+    alpha^2 q(g2) = q(g1) mod 2Z, the condition the cyclic module search
+    solves; otherwise HypothesisFailedError("discriminant")."""
+    ell = _check_genus_hypotheses(t1, t2)
+    a1, a2 = t1.module, t2.module
+    f = a1.exponent
+    if (
+        ell != 1
+        or a2.factors != a1.factors
+        or gcd(alpha, f) != 1
+        or (alpha * alpha * a2.gram[0][0] - a1.gram[0][0]) % (2 * f)
+    ):
+        raise HypothesisFailedError(
+            "discriminant", f"alpha = {alpha} is not an isometry of the discriminant modules"
+        )
+    return NikulinAttestation(
+        rank=t1.rank,
+        signature=t1.signature,
+        ell=ell,
+        disc_iso=ModuleIsometry(a1, a2, ((alpha,),)),
     )
 
 
@@ -255,7 +293,11 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
     """Members L_{d i^2, n} for i = 1..count with n the least prime above
     max(2, d^2 count^4): every pair carries a discriminant-isometry witness
     and a non-isometry certificate, plus an isometry attestation for the
-    orthogonal complements in the ambient lattice."""
+    orthogonal complements in the ambient lattice.
+
+    Witnesses and attestations are written in closed form and checked, with
+    no module search: check_nikulin_hypotheses and disc_groups_isomorphic
+    give the same values and are their oracles."""
     if count < 1 or d < 1:
         raise LatfmError("count and d must be positive")
     if ambient not in AMBIENTS:
@@ -272,6 +314,15 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
     # exactly the roots alpha = +-j/i, the least of which is the witness
     # disc_groups_isomorphic finds.  DiscIsoWitness checks it.
     square = n * n
+    # A(K_i) is generated by v_i / n^2 with v_i = s_i (n, -2 d i^2) mod n^2
+    # for a unit s_i, and q = 2 d i^2 s_i^2 / n^2 mod 2Z.  So the units
+    # alpha with alpha^2 q_j = q_i are exactly +-(i s_i) / (j s_j)
+    # = +-(j / i) v_i[1] / v_j[1], and the least of them is the one
+    # is_isometric_modules finds.  v_j[1] is a unit: complement_genus_data
+    # checks -G v_j = 0 mod n^2 and gcd(v_j, n^2) = 1, so n divides v_j[0]
+    # and not v_j[1].  _attest_cyclic_pair checks alpha.
+    smith = [p.module.generators[0][1] for p in profiles]
+    smith_inverses = [pow(v, -1, square) for v in smith]
     for i in range(count):
         inverse = pow(i + 1, -1, square)
         for j in range(i + 1, count):
@@ -283,7 +334,10 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
             if conditions.certificate is None:
                 raise LatfmError("family construction lost its certificate")
             certificates.append(conditions.certificate)
-            attestations.append(check_nikulin_hypotheses(profiles[i], profiles[j]))
+            root = root * smith[i] * smith_inverses[j] % square
+            attestations.append(
+                _attest_cyclic_pair(profiles[i], profiles[j], min(root, square - root))
+            )
     # no primitivity, isotropy or polarization check, as each holds by
     # construction: the basis (1, d, 0, 0), (0, n, 1, 0) has the identity as
     # its minor on coordinates 0 and 2, so U+U / span is free; every Gram

@@ -323,13 +323,21 @@ def check_disc_witness_biconditional(d_max: int):
 def check_family_pipeline(d_max: int):
     for ambient, rank, sig in (("k3", 20, (2, 18)), ("abelian", 4, (2, 2))):
         bundle = build_family(FAMILY_COUNT, 1, ambient)
-        pairs = FAMILY_COUNT * (FAMILY_COUNT - 1) // 2
-        _require(len(bundle.witnesses) == pairs, "family must witness every pair")
-        _require(len(bundle.certificates) == pairs, "family must certify every pair")
-        for attestation in bundle.attestations:
+        pairs = [(i, j) for i in range(FAMILY_COUNT) for j in range(i + 1, FAMILY_COUNT)]
+        _require(len(bundle.witnesses) == len(pairs), "family must witness every pair")
+        _require(len(bundle.certificates) == len(pairs), "family must certify every pair")
+        _require(len(bundle.attestations) == len(pairs), "family must attest every pair")
+        profiles = [complement_genus_data(m, ambient) for m in bundle.members]
+        for (i, j), attestation in zip(pairs, bundle.attestations):
             _require(
                 attestation.rank == rank and tuple(attestation.signature) == sig,
                 f"attestation invariants for the {ambient} ambient",
+            )
+            # the closed-form module isometry is the one the search finds
+            _require(
+                attestation.disc_iso
+                == is_isometric_modules(profiles[i].module, profiles[j].module),
+                f"attestation isometry of pair {(i + 1, j + 1)} in the {ambient} ambient",
             )
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ from conftest import family_grid
 from latfm import cli
 from latfm.arith import MR_LIMIT, prime_factorization
 from latfm.cli import COMMANDS, run
-from latfm.discriminant import cyclic_module
+from latfm.discriminant import ModuleIsometry, cyclic_module
 from latfm.family import GenusData, build_family
 from latfm.lattices import Lattice
 import latfm.fmcount
@@ -564,6 +565,25 @@ class TestSelftest:
         by_name = {r.name: r for r in run_selftest(5)}
         assert not by_name["rank2-closed-form-vs-snf"].passed
         assert by_name["rank2-closed-form-vs-snf"].detail.startswith("complement module of (")
+
+    def test_family_attestations_checked_against_the_search(self, monkeypatch):
+        # g_i -> -alpha g_j is an isometry too, but not the least root that
+        # the module search returns
+        real = latfm.selfcheck.build_family
+
+        def other_root(count, d, ambient):
+            bundle = real(count, d, ambient)
+            flipped = tuple(
+                dataclasses.replace(a, disc_iso=ModuleIsometry(
+                    a.disc_iso.source, a.disc_iso.target, ((-a.disc_iso.matrix[0][0],),)))
+                for a in bundle.attestations
+            )
+            return dataclasses.replace(bundle, attestations=flipped)
+
+        monkeypatch.setattr(latfm.selfcheck, "build_family", other_root)
+        by_name = {r.name: r for r in run_selftest(5)}
+        assert not by_name["family-pipeline"].passed
+        assert by_name["family-pipeline"].detail.startswith("attestation isometry of pair (1, 2)")
 
     @pytest.mark.parametrize(
         "name,corrupt,detail",

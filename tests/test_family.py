@@ -271,6 +271,84 @@ class TestNikulin:
         assert excinfo.value.hypothesis == "discriminant"
 
 
+def failing_profile_pairs():
+    """(hypothesis, t1, t2): one pair failing each Nikulin hypothesis, the
+    first it fails named."""
+    member = make_member(1, 3)
+    own = GenusData(
+        signature=member.lattice.signature, module=discriminant_module(member.lattice)
+    )
+    definite = make_lattice([[2, 0, 0], [0, 2, 0], [0, 0, 4]])
+    definite = GenusData(signature=definite.signature, module=discriminant_module(definite))
+    base = complement_genus_data(member, "k3")
+    return (
+        ("signature", complement_genus_data(make_member(1, 17), "k3"),
+         complement_genus_data(make_member(1, 17), "abelian")),
+        ("indefinite", definite, definite),
+        ("rank", own, own),
+        ("discriminant", base, GenusData(signature=base.signature, module=cyclic_module(9, 16))),
+        # modules of orders 9 and 25
+        ("discriminant", base, complement_genus_data(make_member(1, 5), "k3")),
+    )
+
+
+class TestClosedFormAttestation:
+    """build_family attests each pair with the module isometry
+    g_i -> alpha g_j, alpha = +-(i s_i) / (j s_j) mod n^2, checked by
+    family._attest_cyclic_pair; check_nikulin_hypotheses, which searches
+    for it, is the oracle."""
+
+    @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+    def test_family_attestations_are_the_searched_ones(self, ambient):
+        # every (count, d) the benchmark runs, and every count <= 6, d <= 40
+        for count, d in family_grid():
+            bundle = build_family(count, d, ambient)
+            profiles = [complement_genus_data(m, ambient) for m in bundle.members]
+            expected = tuple(
+                check_nikulin_hypotheses(profiles[i], profiles[j])
+                for i in range(count) for j in range(i + 1, count)
+            )
+            assert bundle.attestations == expected, (count, d)
+
+    @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+    def test_only_the_two_roots_pass(self, ambient):
+        bundle = build_family(3, 2, ambient)
+        n, square = bundle.n, bundle.n ** 2
+        profiles = [complement_genus_data(m, ambient) for m in bundle.members]
+        pairs = [(i, j) for i in range(3) for j in range(i + 1, 3)]
+        for (i, j), attestation in zip(pairs, bundle.attestations):
+            ((r,),) = attestation.disc_iso.matrix
+            assert verify_isometry(attestation.disc_iso)
+            assert family._attest_cyclic_pair(profiles[i], profiles[j], r) == attestation
+            other = family._attest_cyclic_pair(profiles[i], profiles[j], square - r)
+            assert other.disc_iso.matrix == ((square - r,),)
+            for wrong in (r + 1, square - r + 1, n, 0, square):
+                with pytest.raises(HypothesisFailedError) as excinfo:
+                    family._attest_cyclic_pair(profiles[i], profiles[j], wrong)
+                assert excinfo.value.hypothesis == "discriminant", wrong
+
+    def test_a_non_unit_alpha_is_refused(self):
+        # n = 3: q = 0 on both modules, so alpha = 3 solves the congruence
+        # and only the unit check refuses it
+        zero = GenusData(signature=Signature(2, 18), module=cyclic_module(9, 0))
+        assert family._attest_cyclic_pair(zero, zero, 1).disc_iso.matrix == ((1,),)
+        with pytest.raises(HypothesisFailedError) as excinfo:
+            family._attest_cyclic_pair(zero, zero, 3)
+        assert excinfo.value.hypothesis == "discriminant"
+
+    @pytest.mark.parametrize("hypothesis,t1,t2", failing_profile_pairs())
+    def test_failures_match_the_general_path(self, hypothesis, t1, t2):
+        # both paths check signature, indefiniteness and rank in one helper,
+        # in one order and with one message
+        with pytest.raises(HypothesisFailedError) as general:
+            check_nikulin_hypotheses(t1, t2)
+        with pytest.raises(HypothesisFailedError) as closed:
+            family._attest_cyclic_pair(t1, t2, 1)
+        assert general.value.hypothesis == closed.value.hypothesis == hypothesis
+        if hypothesis != "discriminant":
+            assert str(general.value) == str(closed.value)
+
+
 class TestBuildFamily:
     def test_two_members(self):
         bundle = build_family(2, 1)

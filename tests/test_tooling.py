@@ -51,9 +51,11 @@ def test_bindings_read_by_the_benchmark_tests_exist():
 
 
 def test_cyclic_module_search_stays_under_its_traced_span():
+    # O(A) of the cyclic module Z/60 comes from the cyclic search, which
+    # the family path does not run (test_family_runs_no_module_search)
     tracer = load_spans().Tracer().install()
     try:
-        argv = ["family", "--count", "2", "--degree", "4", "--json"]
+        argv = ["fm-count", "--degree", "60", "--verify", "--json"]
         code = latfm.cli.run(argv, io.StringIO(), io.StringIO())
     finally:
         tracer.uninstall()
@@ -125,13 +127,15 @@ def test_square_discriminant_isometries_need_no_search(gram1, gram2, searches):
     assert metrics["oracle.find_isometry.calls"] == searches
 
 
-def test_family_searches_modules_only_for_its_attestations():
-    # three members: three pairs to attest; a member builds no module of
-    # its own, each complement is L_{d,n}(-1) and the embedding is
-    # primitive by its basis, so a member costs one 2x2 SNF,
-    # for its complement's module, and one Lattice, its own: the module is
-    # read off the Smith form with no LatticeDiscriminant and no rescaled
-    # Lattice of the complement
+def test_family_runs_no_module_search():
+    # three members, three pairs to attest: each attestation's module
+    # isometry is +-(i s_i) / (j s_j) mod n^2 in closed form, so nothing
+    # searches for it or factors n^2.  A member builds no module of its
+    # own, each complement is L_{d,n}(-1) and the embedding is primitive by
+    # its basis, so a member costs one 2x2 SNF, for its complement's
+    # module, and one Lattice, its own: the module is read off the Smith
+    # form with no LatticeDiscriminant and no rescaled Lattice of the
+    # complement
     for ambient in ("k3", "abelian"):
         argv = ["family", "--count", "3", "--degree", "2", "--ambient", ambient, "--json"]
         plain = io.StringIO()
@@ -144,8 +148,10 @@ def test_family_searches_modules_only_for_its_attestations():
             tracer.uninstall()
         assert code == 0 and traced.getvalue() == plain.getvalue()
         metrics = tracer.metrics()
-        assert metrics["discriminant.module_search.cyclic.calls"] == 3
+        assert metrics["discriminant.module_search.cyclic.calls"] == 0
         assert metrics["discriminant.module_search.generic.calls"] == 0
+        assert metrics["family.nikulin.calls"] == 0
+        assert metrics["fmcount.factorization.calls"] == 0
         assert metrics["intmat.snf.calls"] == 3
         assert metrics["intmat.hnf.calls"] == 0
         assert metrics["lattices.orthogonal_complement.calls"] == 0
@@ -183,6 +189,23 @@ def test_family_json_runs_no_generic_writer_and_no_root_search(monkeypatch):
 
     monkeypatch.setattr(latfm.cli, "_json_text", refuse)
     monkeypatch.setattr(latfm.family, "disc_groups_isomorphic", refuse)
+    for ambient in ("k3", "abelian"):
+        argv = ["family", "--count", "3", "--degree", "2", "--ambient", ambient, "--json"]
+        out = io.StringIO()
+        assert latfm.cli.run(argv, out, io.StringIO()) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FAMILY_3_2[ambient]
+
+
+def test_family_attests_without_the_module_search(monkeypatch):
+    # each attestation's module isometry is checked in closed form: neither
+    # the module search nor the unit square roots under it run
+    def refuse(*args):
+        raise AssertionError("family ran the module search")
+
+    monkeypatch.setattr(latfm.discriminant, "_isometry_search", refuse)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("latfm") and hasattr(module, "unit_square_roots"):
+            monkeypatch.setattr(module, "unit_square_roots", refuse)
     for ambient in ("k3", "abelian"):
         argv = ["family", "--count", "3", "--degree", "2", "--ambient", ambient, "--json"]
         out = io.StringIO()
