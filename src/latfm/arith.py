@@ -230,7 +230,25 @@ def _sqrt_mod_prime(r: int, p: int) -> int | None:
 
 
 def _unit_roots_mod_prime_power(r: int, p: int, h: int) -> list[int]:
-    """All units x mod p^h with x^2 = r, for a unit r."""
+    """All units x mod p^h with x^2 = r, for a unit r and h >= 1.
+
+    r = 1, which every cyclic O(A) search solves, takes the roots of unity
+    directly: +-1 for odd p, and mod 2^h the distinct ones of +-1 and
+    2^(h-1) +- 1.  Any other r is lifted by _lifted_unit_roots."""
+    ph = p**h
+    if (r - 1) % ph:
+        return _lifted_unit_roots(r, p, h)
+    if p > 2:
+        return [1, ph - 1]
+    if h < 3:
+        return [1] if h == 1 else [1, 3]
+    half = ph >> 1
+    return [1, half - 1, half + 1, ph - 1]
+
+
+def _lifted_unit_roots(r: int, p: int, h: int) -> list[int]:
+    """All units x mod p^h with x^2 = r, for a unit r and h >= 1: lifted a
+    bit at a time for p = 2, by Tonelli-Shanks and Hensel for odd p."""
     if p == 2:
         roots = [1]
         for k in range(1, h):

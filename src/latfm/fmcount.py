@@ -1,8 +1,9 @@
 """Fourier-Mukai partner counts for Picard number 1.
 
 Two independent routes are provided: the closed form 2^(p(d)-1) and the
-double-coset sum over the genus.  The rank-one class <2d> goes through the
-same genus sum as explicit members, with O(A) the units a mod 2d with
+double-coset sum over the genus.  The rank-one class <2d> and every even
+rank-one genus member take the same double-coset count, on the cyclic
+module Z/2d built in closed form, with O(A) the units a mod 2d with
 a^2 = 1 mod 4d.  The two must agree; tests and the selftest enforce it.
 """
 
@@ -17,6 +18,7 @@ from .binary import isometries, square_root_of_discriminant
 from .discriminant import (
     FiniteQuadraticModule,
     LatticeDiscriminant,
+    cyclic_module,
     orthogonal_group_of_module,
     scalar_matrix,
 )
@@ -77,9 +79,11 @@ def fm_count_rho1_via_cosets(d: int) -> int:
 
     Must equal fm_count_rho1(d); the selftest asserts this across a range.
     """
+    if not isinstance(d, int):
+        raise LatfmError("d must be an integer")
     if d < 1:
         raise LatfmError("d must be positive")
-    return fm_count_genus_sum((Lattice(((2 * d,),)),))
+    return _rank1_term(d)
 
 
 def fm_count_genus_sum(genus_members) -> int:
@@ -95,11 +99,14 @@ def fm_count_genus_sum(genus_members) -> int:
     rank-2 search cannot reach the default node limit, so no sum ends in
     BudgetExhaustedError.
 
-    Each member's term depends only on its Gram matrix, so it is memoized
-    per process on the member, for up to 1024 keys; a Lattice compares and
-    hashes by its Gram matrix alone, so equal Gram matrices share one slot.
-    A miss runs every search, closure and subgroup check.  Only Gram
-    matrices repeated within one process gain.
+    Terms are memoized per process in two memos of up to 1024 keys each.
+    An even rank-1 member [[c]] has the module Z/|c| with q = +-1/|c|, and
+    both signs have the same O(A), so its term is _rank1_term(|c| / 2),
+    keyed on the int; fm_count_rho1_via_cosets shares those slots.  Rank-2
+    members, and odd rank-1 ones, go to _member_term, keyed on the member:
+    a Lattice compares and hashes by its Gram matrix alone, so equal Gram
+    matrices share one slot.  A miss in either runs every search, closure
+    and subgroup check.  Only terms repeated within one process gain.
     """
     total = 0
     for member in genus_members:
@@ -107,8 +114,21 @@ def fm_count_genus_sum(genus_members) -> int:
             raise RankUnsupportedError(
                 "orthogonal groups are only enumerated for rank <= 2"
             )
-        total += _member_term(member)
+        if member.rank == 1 and member.is_even:
+            total += _rank1_term(abs(member.gram[0][0]) // 2)
+        else:
+            total += _member_term(member)
     return total
+
+
+@lru_cache(maxsize=1024)
+def _rank1_term(d: int) -> int:
+    """|O(<2d>)\\O(A)/{+-1}| on A = Z/2d with q = 1/2d, counted on the units
+    ((a,),); the module is the one LatticeDiscriminant reads off [[2d]]."""
+    module = cyclic_module(2 * d, 1, generator=(1,))
+    side = pm_id_subgroup(module)
+    return double_coset_count(side, orthogonal_group_of_module(module), side,
+                              module.factors)
 
 
 @lru_cache(maxsize=1024)

@@ -9,7 +9,7 @@ from latfm import fmcount
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the per-process memos of the counting path
-MEMOS = (fmcount._member_term,)
+MEMOS = (fmcount._member_term, fmcount._rank1_term)
 
 
 def clear_memos():

@@ -19,8 +19,10 @@ from latfm.arith import (
     _MR_TABLE,
     _SMALL_BOUND,
     MR_LIMIT,
+    _lifted_unit_roots,
     _sqrt_mod_prime,
     _strong_probable_prime,
+    _unit_roots_mod_prime_power,
     is_prime,
     least_prime_above,
     prime_factorization,
@@ -96,6 +98,22 @@ def test_two_roots_modulo_an_odd_prime_square():
             roots = unit_square_roots(d1, d2, n * n, n * n)
             assert len(roots) == 2 and sum(roots) == n * n
             assert all((d1 * a * a - d2) % (n * n) == 0 for a in roots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_roots_of_one_match_the_lifting_loop_and_a_scan(p):
+    # the straight-line roots of x^2 = 1 against the loop that solves any
+    # unit r, and against a scan of the x mod p^h up to p^h = 5^7
+    for h in range(1, 9):
+        ph = p**h
+        expected = None
+        if ph <= 5**7:
+            expected = [x for x in range(1, ph) if x % p and (x * x - 1) % ph == 0]
+        for k in (0, 1, 2, 5, -1, -3, p, 1000003):
+            r = 1 + k * ph
+            roots = _unit_roots_mod_prime_power(r, p, h)
+            assert roots == sorted(_lifted_unit_roots(r, p, h)), (p, h, k)
+            assert expected in (None, roots), (p, h, k)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 17, 41, 73, 97, 113, 193, 257, 7681])

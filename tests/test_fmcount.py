@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -9,10 +10,11 @@ from latfm.discriminant import (
     LatticeDiscriminant,
     ModuleIsometry,
     compose_matrices,
+    cyclic_module,
     discriminant_module,
     orthogonal_group_of_module,
 )
-from latfm.errors import LatfmError, RankUnsupportedError
+from latfm.errors import LatfmError, OddLatticeError, RankUnsupportedError
 from latfm.fmcount import (
     distinct_prime_count,
     fm_count_genus_sum,
@@ -117,8 +119,10 @@ class TestGenusSum:
         assert fm_count_genus_sum(members) == 2 * fm_count_rho1(6)
 
     def test_members_are_not_rebuilt(self, monkeypatch):
-        # a miss takes the caller's Lattice, and equal Gram matrices share one
-        # memo slot: no Lattice is built, so no Gram matrix is checked twice
+        # the two [[60]] members share one _rank1_term slot, keyed on d = 30,
+        # and the two rank-2 members miss _member_term, which takes the
+        # caller's Lattice: no Lattice is built, so no Gram matrix is checked
+        # twice
         members = [make_lattice(g) for g in ([[60]], [[60]], [[2, 1], [1, 4]],
                                              [[2, 5], [5, 0]])]
         built = []
@@ -131,8 +135,10 @@ class TestGenusSum:
         monkeypatch.setattr(Lattice, "__post_init__", counted)
         assert fm_count_genus_sum(members) == 2 * fm_count_rho1(30) + 2
         assert built == []
+        info = fmcount._rank1_term.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         info = fmcount._member_term.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
     def test_automorph_beyond_the_default_bound(self):
@@ -140,6 +146,50 @@ class TestGenusSum:
         # entry 56 lies outside the default bound 50; with it in the image
         # of O(S) the exact term is 1, and the bounded image gives 2
         assert fm_count_genus_sum([make_lattice([[2, 0], [0, -28]])]) == 1
+
+
+class TestRank1Term:
+    """_rank1_term(d), built on the closed-form module of <2d>, against the
+    generic _member_term of [[2d]] and the units with square one."""
+
+    def test_matches_the_generic_term_and_the_units(self):
+        for d in [*range(1, 2001), 510510]:
+            term = fmcount._rank1_term(d)
+            assert term == fmcount._member_term(make_lattice([[2 * d]])), d
+            side = {1, 2 * d - 1}  # {+-1}, one element for d = 1
+            assert term == len(units_with_square_one(2 * d)) // len(side), d
+
+    def test_the_module_is_the_discriminant_of_2d(self):
+        for d in (1, 2, 6, 8, 30, 510510):
+            module = LatticeDiscriminant(make_lattice([[2 * d]])).module
+            assert cyclic_module(2 * d, 1, generator=(1,)) == module, d
+
+    def test_both_signs_share_one_slot(self):
+        for d in (1, 6, 30, 2 * 23 * 29):
+            assert fm_count_genus_sum([make_lattice([[-2 * d]])]) == \
+                fm_count_genus_sum([make_lattice([[2 * d]])]) == fm_count_rho1(d)
+        info = fmcount._rank1_term.cache_info()
+        assert (info.hits, info.misses) == (4, 4)
+        assert fmcount._member_term.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("gram", [[[1]], [[-1]]])
+    def test_unimodular_members_keep_the_generic_path(self, gram):
+        assert fm_count_genus_sum([make_lattice(gram)]) == 1
+        assert fmcount._member_term.cache_info().currsize == 1
+        assert fmcount._rank1_term.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("c", [3, -5, 7, 2 * 510510 + 1])
+    def test_odd_members_keep_their_error(self, c):
+        with pytest.raises(OddLatticeError, match="q is undefined"):
+            fm_count_genus_sum([make_lattice([[c]])])
+        assert fmcount._rank1_term.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("d", [6.0, 2.5, Fraction(6), "6"])
+    def test_a_non_int_degree_is_an_error(self, d):
+        # even with the slot of 6 warm: 6.0 and Fraction(6) hash like 6
+        assert fm_count_rho1_via_cosets(6) == 2
+        with pytest.raises(LatfmError):
+            fm_count_rho1_via_cosets(d)
 
 
 class TestPmIdSubgroup:

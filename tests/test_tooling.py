@@ -103,7 +103,13 @@ def test_double_cosets_compose_matrices_not_module_isometries(cold_memos):
     assert metrics["oracle.double_coset.calls"] == 1
     # O(A), +-1 and the image go to the kernel as units ((a,),)
     assert metrics["discriminant.module_isometry.calls"] == 0
-    # warm: the member's term comes from the memo of this process
+    # A = Z/1021020 is built in closed form: no Lattice, Smith form or
+    # LatticeDiscriminant, and one cyclic search for O(A)
+    assert metrics["lattices.lattice_init.calls"] == 0
+    assert metrics["intmat.snf.calls"] == 0
+    assert metrics["discriminant.lattice_discriminant.calls"] == 0
+    assert metrics["discriminant.module_search.cyclic.calls"] == 1
+    # warm: the term comes from the memo of this process
     code, warm, metrics = traced_run(argv)
     assert code == 0 and warm == plain.getvalue()
     assert metrics["oracle.double_coset.calls"] == 0
@@ -338,12 +344,13 @@ def test_the_memo_inventory_is_pinned():
                 memos.add(f"{path.stem}.{node.name}")
     assert memos == {
         "fmcount._member_term",
+        "fmcount._rank1_term",
         "mukai._h_complement",
         # its cache_clear is called by the benchmark's tests
         "mukai._mukai_complement",
     }
     # the tests start each one cold
-    assert latfm.fmcount._member_term in MEMOS
+    assert {latfm.fmcount._member_term, latfm.fmcount._rank1_term} <= set(MEMOS)
 
 
 # names in src/latfm that nothing in src/latfm calls, kept for the tests
