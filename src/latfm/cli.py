@@ -26,7 +26,6 @@ from .mukai import (
     moduli_lattice_shadow,
 )
 from .oracle import SearchBudget
-from .selfcheck import run_selftest
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -369,6 +368,9 @@ def _cmd_orbits(args, out) -> int:
 def _cmd_selftest(args, out) -> int:
     if args.range_d < 1:
         raise UsageError(f"--range-d must be a positive integer, got {args.range_d}")
+    # imported here, so that no other command loads the check suite
+    from .selfcheck import run_selftest
+
     results = run_selftest(args.range_d)
     failed = 0
     for result in results:

@@ -16,9 +16,8 @@ source and target, is built only where a caller keeps the map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import TYPE_CHECKING
 
 from .arith import unit_square_roots
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     OddLatticeError,
     SearchSpaceTooLargeError,
 )
+from .frozen import Frozen
 from .intmat import (
     Mat,
     Vec,
@@ -41,11 +41,13 @@ from .intmat import (
 )
 from .lattices import Lattice, SublatticeEmbedding, is_primitive, orthogonal_complement
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 DEFAULT_ORDER_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticModule:
+class FiniteQuadraticModule(Frozen):
     """Finite abelian group in invariant-factor form with torsion forms b and q.
 
     Generator j is the integer column generators[j] divided by factors[j].
@@ -53,18 +55,23 @@ class FiniteQuadraticModule:
     only the Q/Z-valued bilinear form is defined.
     """
 
-    factors: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
-    even: bool = True
+    _fields = ("factors", "generators", "gram", "even")
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(
+        self,
+        factors: tuple[int, ...],
+        generators: tuple[tuple[int, ...], ...],
+        gram: tuple[tuple[int, ...], ...],
+        even: bool = True,
+    ):
+        factors = tuple(factors)
+        generators = freeze(generators)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "generators", freeze(self.generators))
-        gram = freeze(self.gram)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "even", even)
+        gram = freeze(gram)
         if len(factors) != 1:
-            gram = _checked_form(factors, self.generators, gram, self.even)
+            gram = _checked_form(factors, generators, gram, even)
         else:
             # _checked_form on one generator of order f: x / f is symmetric
             # and compatible with b as it stands, and q = x / f is a value
@@ -74,16 +81,16 @@ class FiniteQuadraticModule:
                 raise LatfmError("invariant factors must be integers")
             if f <= 1:
                 raise LatfmError("invariant factors must all exceed 1")
-            if self.generators and len(self.generators) != 1:
+            if generators and len(generators) != 1:
                 raise LatfmError("generator count does not match factor count")
-            if any(type(x) is not int for col in self.generators for x in col):
+            if any(type(x) is not int for col in generators for x in col):
                 raise LatfmError("generator entries must be integers")
             if len(gram) != 1 or len(gram[0]) != 1:
                 raise LatfmError("form matrix has wrong shape")
             ((x,),) = gram
             if type(x) is not int:
                 raise LatfmError("form matrix entries must be integers")
-            if self.even:
+            if even:
                 x %= 2 * f
                 if f * x % 2:
                     raise LatfmError("q value incompatible with generator order")
@@ -101,11 +108,15 @@ class FiniteQuadraticModule:
         """q(g_i) in [0, 2) for printing, or None on an odd module."""
         if not self.even:
             return None
+        from fractions import Fraction
+
         return tuple(Fraction(self.gram[i][i], self.exponent) for i in range(self.ell))
 
     @property
     def b(self) -> tuple[tuple[Fraction, ...], ...]:
         """b(g_i, g_j) in [0, 1) for printing."""
+        from fractions import Fraction
+
         e = self.exponent
         return tuple(tuple(Fraction(x % e, e) for x in row) for row in self.gram)
 
@@ -277,8 +288,7 @@ def compose_matrices(outer: Mat, inner: Mat, factors) -> Mat:
     )
 
 
-@dataclass(frozen=True)
-class ModuleIsometry:
+class ModuleIsometry(Frozen):
     """Homomorphism between finite quadratic modules in generator coordinates:
     column j is the image of the j-th source generator.
 
@@ -287,22 +297,24 @@ class ModuleIsometry:
     variant, checked by verify_anti_isometry.
     """
 
-    source: FiniteQuadraticModule
-    target: FiniteQuadraticModule
-    matrix: Mat
+    _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        k_t = self.target.ell
-        k_s = self.source.ell
-        mat = freeze(self.matrix)
+    def __init__(
+        self, source: FiniteQuadraticModule, target: FiniteQuadraticModule, matrix: Mat
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        k_t = target.ell
+        k_s = source.ell
+        mat = freeze(matrix)
         if len(mat) != k_t or any(len(row) != k_s for row in mat):
             raise LatfmError("isometry matrix has wrong shape")
         mat = tuple(
-            tuple(x % f for x in row) for row, f in zip(mat, self.target.factors)
+            tuple(x % f for x in row) for row, f in zip(mat, target.factors)
         )
         object.__setattr__(self, "matrix", mat)
-        for j, d in enumerate(self.source.factors):
-            for i, f in enumerate(self.target.factors):
+        for j, d in enumerate(source.factors):
+            for i, f in enumerate(target.factors):
                 if (d * mat[i][j]) % f:
                     raise LatfmError("map is not a well-defined homomorphism")
 

@@ -9,7 +9,6 @@ pairwise non-isometric lattices in one genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import least_prime_above, unit_square_roots
@@ -21,6 +20,7 @@ from .discriminant import (
 )
 from .errors import HypothesisFailedError, LatfmError, NotCoprimeError
 from .fmcount import unitary_divisors
+from .frozen import Frozen
 from .intmat import Vec, mat_vec, smith_normal_form, vec_dot
 from .lattices import (
     K3,
@@ -47,12 +47,14 @@ def closed_form_module(d: int, n: int) -> FiniteQuadraticModule:
     return cyclic_module(n * n, -2 * d, generator=(n, -2 * d))
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    d: int
-    n: int
-    lattice: Lattice
-    embedding: SublatticeEmbedding  # into U + U
+class FamilyMember(Frozen):
+    _fields = ("d", "n", "lattice", "embedding")
+
+    def __init__(self, d: int, n: int, lattice: Lattice, embedding: SublatticeEmbedding):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "embedding", embedding)  # into U + U
 
     @property
     def represents_zero_vector(self) -> Vec:
@@ -72,44 +74,46 @@ def make_member(d: int, n: int) -> FamilyMember:
     return FamilyMember(d=d, n=n, lattice=lattice, embedding=embedding)
 
 
-@dataclass(frozen=True)
-class DiscIsoWitness:
+class DiscIsoWitness(Frozen):
     """alpha with gcd(alpha, n) = 1 and d1 alpha^2 = d2 mod n^2, certifying
     isometric discriminant modules."""
 
-    d1: int
-    d2: int
-    n: int
-    alpha: int
+    _fields = ("d1", "d2", "n", "alpha")
 
-    def __post_init__(self):
-        if gcd(self.alpha, self.n) != 1:
+    def __init__(self, d1: int, d2: int, n: int, alpha: int):
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
+        if gcd(alpha, n) != 1:
             raise LatfmError("alpha is not a unit")
-        if (self.d1 * self.alpha * self.alpha - self.d2) % (self.n * self.n):
+        if (d1 * alpha * alpha - d2) % (n * n):
             raise LatfmError("alpha does not satisfy d1 alpha^2 = d2 mod n^2")
 
 
-@dataclass(frozen=True)
-class NonIsometryCertificate:
+class NonIsometryCertificate(Frozen):
     """Proof token that L_{d1,n} and L_{d2,n} are non-isometric: both necessary
     congruences fail.  Constructing an invalid certificate raises."""
 
-    d1: int
-    d2: int
-    n: int
+    _fields = ("d1", "d2", "n")
 
-    def __post_init__(self):
-        if (self.d1 - self.d2) % self.n == 0:
+    def __init__(self, d1: int, d2: int, n: int):
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "n", n)
+        if (d1 - d2) % n == 0:
             raise LatfmError("certificate invalid: d1 = d2 mod n")
-        if (self.d1 * self.d2 - 1) % self.n == 0:
+        if (d1 * d2 - 1) % n == 0:
             raise LatfmError("certificate invalid: d1 d2 = 1 mod n")
 
 
-@dataclass(frozen=True)
-class NecessaryConditions:
-    a2: bool  # d1 = d2 mod n
-    b2: bool  # d1 d2 = 1 mod n
-    certificate: NonIsometryCertificate | None
+class NecessaryConditions(Frozen):
+    _fields = ("a2", "b2", "certificate")
+
+    def __init__(self, a2: bool, b2: bool, certificate: NonIsometryCertificate | None):
+        object.__setattr__(self, "a2", a2)  # d1 = d2 mod n
+        object.__setattr__(self, "b2", b2)  # d1 d2 = 1 mod n
+        object.__setattr__(self, "certificate", certificate)
 
 
 def disc_groups_isomorphic(
@@ -144,28 +148,32 @@ def isometry_necessary_conditions(d1: int, d2: int, n: int) -> NecessaryConditio
     return NecessaryConditions(a2=a2, b2=b2, certificate=certificate)
 
 
-@dataclass(frozen=True)
-class GenusData:
+class GenusData(Frozen):
     """Signature plus discriminant module: what the isometry criterion for
     indefinite even sublattices consumes."""
 
-    signature: Signature
-    module: FiniteQuadraticModule
+    _fields = ("signature", "module")
+
+    def __init__(self, signature: Signature, module: FiniteQuadraticModule):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "module", module)
 
     @property
     def rank(self) -> int:
         return self.signature.rank
 
 
-@dataclass(frozen=True)
-class NikulinAttestation:
+class NikulinAttestation(Frozen):
     """Verified hypothesis bundle standing in for the non-constructive
     conclusion that the two sublattices are isometric."""
 
-    rank: int
-    signature: Signature
-    ell: int
-    disc_iso: ModuleIsometry
+    _fields = ("rank", "signature", "ell", "disc_iso")
+
+    def __init__(self, rank: int, signature: Signature, ell: int, disc_iso: ModuleIsometry):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "disc_iso", disc_iso)
 
 
 def _check_genus_hypotheses(t1: GenusData, t2: GenusData) -> int:
@@ -278,15 +286,28 @@ def complement_genus_data(member: FamilyMember, ambient: str) -> GenusData:
     )
 
 
-@dataclass(frozen=True)
-class FamilyBundle:
-    n: int
-    degree: int  # 2d
-    ambient: str
-    members: tuple[FamilyMember, ...]
-    witnesses: tuple[DiscIsoWitness, ...]  # over pairs i < j
-    certificates: tuple[NonIsometryCertificate, ...]
-    attestations: tuple[NikulinAttestation, ...]
+class FamilyBundle(Frozen):
+    _fields = (
+        "n", "degree", "ambient", "members", "witnesses", "certificates", "attestations"
+    )
+
+    def __init__(
+        self,
+        n: int,
+        degree: int,
+        ambient: str,
+        members: tuple[FamilyMember, ...],
+        witnesses: tuple[DiscIsoWitness, ...],
+        certificates: tuple[NonIsometryCertificate, ...],
+        attestations: tuple[NikulinAttestation, ...],
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree", degree)  # 2d
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "witnesses", witnesses)  # over pairs i < j
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "attestations", attestations)
 
 
 def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
@@ -354,11 +375,18 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
     )
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    count: int
-    representatives: tuple[tuple[int, int], ...]
-    orbits: tuple[tuple[tuple[int, int], ...], ...]
+class OrbitReport(Frozen):
+    _fields = ("count", "representatives", "orbits")
+
+    def __init__(
+        self,
+        count: int,
+        representatives: tuple[tuple[int, int], ...],
+        orbits: tuple[tuple[tuple[int, int], ...], ...],
+    ):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "orbits", orbits)
 
 
 _O_U = (

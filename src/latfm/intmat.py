@@ -7,7 +7,10 @@ nothing here ever touches a float.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vec = tuple
 Mat = tuple
@@ -327,6 +330,8 @@ def solve_integer(m: Mat, rhs: Vec) -> Vec | None:
 def rational_solve(m: Mat, rhs: Vec) -> tuple[Fraction, ...] | None:
     """One rational solution of m.x = rhs (free coordinates 0), or None if
     inconsistent."""
+    from fractions import Fraction
+
     ncols = len(m[0]) if m else 0
     a, pivots, _, last = _gauss_jordan(
         [tuple(row) + (y,) for row, y in zip(m, rhs)]

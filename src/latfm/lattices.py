@@ -8,7 +8,6 @@ matrix as B^t G B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from typing import Callable, NamedTuple
@@ -21,6 +20,7 @@ from .errors import (
     NotSymmetricError,
     ZeroScaleError,
 )
+from .frozen import Frozen
 from .intmat import (
     Mat,
     Vec,
@@ -115,15 +115,14 @@ def _signature_loop(gram: Mat) -> tuple[int, Signature]:
     return det, Signature(rank - minus, minus)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Frozen):
     """Non-degenerate integral lattice given by its Gram matrix."""
 
-    gram: Mat
+    _fields = ("gram",)
 
-    def __post_init__(self):
+    def __init__(self, gram: Mat):
         try:
-            g = freeze(self.gram)
+            g = freeze(gram)
         except TypeError:
             raise LatfmError("Gram matrix must be a list of rows") from None
         if any(type(x) is not int for row in g for x in row):
@@ -195,17 +194,16 @@ def rescale(lattice: Lattice, k: int) -> Lattice:
     return Lattice(freeze((k * x for x in row) for row in lattice.gram))
 
 
-@dataclass(frozen=True)
-class SublatticeEmbedding:
+class SublatticeEmbedding(Frozen):
     """Sublattice of an ambient lattice, spanned by the given coordinate vectors."""
 
-    ambient: Lattice
-    basis: tuple[Vec, ...]
+    _fields = ("ambient", "basis")
 
-    def __post_init__(self):
-        basis = freeze(self.basis)
+    def __init__(self, ambient: Lattice, basis: tuple[Vec, ...]):
+        basis = freeze(basis)
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
-        n = self.ambient.rank
+        n = ambient.rank
         if any(len(v) != n for v in basis):
             raise LatfmError("basis vector length does not match ambient rank")
         if basis and matrix_rank(basis) != len(basis):
@@ -250,14 +248,17 @@ def is_primitive_vector(x: Vec) -> bool:
     return g == 1
 
 
-@dataclass(frozen=True)
-class IsotropicQuotient:
+class IsotropicQuotient(Frozen):
     """Quotient V/Zv of a sublattice by a primitive isotropic vector it contains,
     together with the projection V -> V/Zv in coordinates."""
 
-    lattice: Lattice
-    _projection: Mat  # (rank-1) x rank, applied to coordinates in V
-    _solve: Callable = field(repr=False, compare=False)  # integer_solver(V.matrix)
+    _fields = ("lattice", "_projection")  # _solve is neither compared nor printed
+
+    def __init__(self, lattice: Lattice, _projection: Mat, _solve: Callable):
+        object.__setattr__(self, "lattice", lattice)
+        # (rank-1) x rank, applied to coordinates in V
+        object.__setattr__(self, "_projection", _projection)
+        object.__setattr__(self, "_solve", _solve)  # integer_solver(V.matrix)
 
     def project(self, x: Vec) -> Vec:
         """Coordinates in the quotient of an ambient vector lying in V."""

@@ -8,12 +8,12 @@ H^0 component first, then the K3 lattice block, then H^4, with pairing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .errors import LatfmError, NotIsotropicError, NotPrimitiveError
 from .fmcount import unitary_divisors
+from .frozen import Frozen
 from .intmat import Vec, freeze, hermite_normal_form
 from .lattices import (
     K3,
@@ -38,20 +38,20 @@ def _mukai_gram():
 MUKAI = Lattice(_mukai_gram())
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Frozen):
     """Triple (r, m.h, s) over a degree-2d polarization h; h_mult is the
     multiple m of h in the middle component."""
 
-    r: int
-    h_mult: int
-    s: int
-    d: int
+    _fields = ("r", "h_mult", "s", "d")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, r: int, h_mult: int, s: int, d: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "h_mult", h_mult)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", d)
+        if d < 1:
             raise LatfmError("polarization degree parameter d must be positive")
-        if gcd(gcd(self.r, self.h_mult), self.s) != 1:
+        if gcd(gcd(r, h_mult), s) != 1:
             raise NotPrimitiveError("gcd(r, h_mult, s) must be 1")
 
     @property
@@ -81,13 +81,15 @@ def class_representatives(vectors) -> tuple[tuple[int, int], ...]:
     return tuple((key[1], key[2]) for key in sorted({v.class_key for v in vectors}))
 
 
-@dataclass(frozen=True)
-class PolarizedEmbedding:
+class PolarizedEmbedding(Frozen):
     """Degree-2d polarization h = e + d f in the first hyperbolic summand of
     the K3 lattice, together with vector embeddings into the Mukai lattice."""
 
-    d: int
-    h: Vec
+    _fields = ("d", "h")
+
+    def __init__(self, d: int, h: Vec):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "h", h)
 
     def embed(self, v: MukaiVector) -> Vec:
         if v.d != self.d:
@@ -110,15 +112,19 @@ def embed_polarized(d: int) -> PolarizedEmbedding:
     return PolarizedEmbedding(d=d, h=h)
 
 
-@dataclass(frozen=True)
-class ModuliShadow:
+class ModuliShadow(Frozen):
     """Lattice shadow of the moduli space attached to an isotropic Mukai
     vector: the quotient v-perp/Zv, the Neron-Severi generator class of
     (0, h, 2s), and the embedded transcendental block."""
 
-    quotient: Lattice
-    ns_generator: Vec
-    transcendental: SublatticeEmbedding
+    _fields = ("quotient", "ns_generator", "transcendental")
+
+    def __init__(
+        self, quotient: Lattice, ns_generator: Vec, transcendental: SublatticeEmbedding
+    ):
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "ns_generator", ns_generator)
+        object.__setattr__(self, "transcendental", transcendental)
 
 
 @lru_cache(maxsize=1)

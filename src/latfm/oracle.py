@@ -16,35 +16,37 @@ independent check: on the units of a cyclic module it is the closed form
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .discriminant import compose_matrices
 from .errors import BudgetExhaustedError, LatfmError, NotSubgroupError
+from .frozen import Frozen
 from .intmat import Mat, Vec, det, identity, mat_mul, mat_vec, transpose
 from .lattices import Lattice
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    entry_bound: int = 50
-    node_limit: int = 10_000_000
+class SearchBudget(Frozen):
+    _fields = ("entry_bound", "node_limit")
 
-    def __post_init__(self):
-        if self.entry_bound <= 0 or self.node_limit <= 0:
+    def __init__(self, entry_bound: int = 50, node_limit: int = 10_000_000):
+        object.__setattr__(self, "entry_bound", entry_bound)
+        object.__setattr__(self, "node_limit", node_limit)
+        if entry_bound <= 0 or node_limit <= 0:
             raise LatfmError("budget parameters must be positive")
 
 
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class IsometryWitness:
+class IsometryWitness(Frozen):
     """Unimodular B with B^t G_source B = G_target, columns in source coordinates."""
 
-    source: Lattice
-    target: Lattice
-    matrix: Mat
+    _fields = ("source", "target", "matrix")
+
+    def __init__(self, source: Lattice, target: Lattice, matrix: Mat):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
 
     def holds(self) -> bool:
         b = self.matrix

@@ -8,7 +8,6 @@ are pure and deterministic; a failure message names the violated invariant.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
 
 from .binary import isometries, search_outcome
@@ -33,6 +32,7 @@ from .family import (
     polarization_orbits_in_u,
 )
 from .fmcount import distinct_prime_count, fm_count_rho1, fm_count_rho1_via_cosets
+from .frozen import Frozen
 from .lattices import (
     E8_MINUS,
     K3,
@@ -60,11 +60,13 @@ FAMILY_COUNT = 3
 SLOW_D_MAX = 30
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Frozen):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
 class CheckFailure(Exception):

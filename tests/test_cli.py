@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -19,7 +18,7 @@ from latfm import cli
 from latfm.arith import MR_LIMIT, prime_factorization
 from latfm.cli import COMMANDS, run
 from latfm.discriminant import ModuleIsometry, cyclic_module
-from latfm.family import GenusData, build_family
+from latfm.family import FamilyBundle, GenusData, NikulinAttestation, build_family
 from latfm.lattices import Lattice
 import latfm.fmcount
 import latfm.selfcheck
@@ -574,11 +573,12 @@ class TestSelftest:
         def other_root(count, d, ambient):
             bundle = real(count, d, ambient)
             flipped = tuple(
-                dataclasses.replace(a, disc_iso=ModuleIsometry(
+                NikulinAttestation(a.rank, a.signature, a.ell, ModuleIsometry(
                     a.disc_iso.source, a.disc_iso.target, ((-a.disc_iso.matrix[0][0],),)))
                 for a in bundle.attestations
             )
-            return dataclasses.replace(bundle, attestations=flipped)
+            return FamilyBundle(bundle.n, bundle.degree, bundle.ambient, bundle.members,
+                                bundle.witnesses, bundle.certificates, flipped)
 
         monkeypatch.setattr(latfm.selfcheck, "build_family", other_root)
         by_name = {r.name: r for r in run_selftest(5)}

@@ -126,13 +126,13 @@ class TestGenusSum:
         members = [make_lattice(g) for g in ([[60]], [[60]], [[2, 1], [1, 4]],
                                              [[2, 5], [5, 0]])]
         built = []
-        original = Lattice.__post_init__
+        original = Lattice.__init__
 
-        def counted(self):
-            built.append(self.gram)
-            original(self)
+        def counted(self, gram):
+            built.append(gram)
+            original(self, gram)
 
-        monkeypatch.setattr(Lattice, "__post_init__", counted)
+        monkeypatch.setattr(Lattice, "__init__", counted)
         assert fm_count_genus_sum(members) == 2 * fm_count_rho1(30) + 2
         assert built == []
         info = fmcount._rank1_term.cache_info()

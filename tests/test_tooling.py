@@ -1,21 +1,25 @@
 """The per-layer tracer of the benchmark (perfbench/spans.py) names only
 bindings that exist, so renaming a traced helper fails here and not only in
 a traced benchmark run.  The computing code stays on integers: Fraction is
-left to presentation and to the traced intmat.rational_solve.  src/latfm
-holds no function or method that only the tests call, bar a named few."""
+left to presentation and to the traced intmat.rational_solve, and neither
+`import latfm` nor `import latfm.cli` loads `fractions` or `dataclasses`.
+src/latfm holds no function or method that only the tests call, bar a named
+few."""
 
 import ast
 import hashlib
 import importlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from conftest import MEMOS, load_perfbench_module
+from conftest import MEMOS, PERFBENCH, load_perfbench_module
 
 import latfm.arith
-import latfm.cli  # noqa: F401  (loads every latfm module)
+import latfm.cli  # noqa: F401  (loads every traced latfm module)
 import latfm.fmcount
 import latfm.intmat
 import latfm.mukai
@@ -316,17 +320,54 @@ def test_fractions_are_left_to_presentation():
     assert uses(tree) == set().union(*map(uses, printed))
 
 
-def test_the_code_imports_only_the_standard_library():
-    # top-level names of every import in src/latfm and tests, relative
-    # imports aside; pytest is the one dependency, of the tests
+def top_level_imports(paths) -> set:
+    """Top-level names of every import in the files, relative imports aside."""
     imported = set()
-    for path in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
+    return imported
+
+
+def test_the_code_imports_only_the_standard_library():
+    # pytest is the one dependency, of the tests
+    imported = top_level_imports(sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py")))
     assert imported - set(sys.stdlib_module_names) == {"latfm", "pytest", "conftest"}
+    # perfbench and its tests import the perfbench modules by their bare names
+    siblings = {path.stem for path in PERFBENCH.glob("*.py")}
+    imported = top_level_imports(sorted(PERFBENCH.rglob("*.py")))
+    assert imported - set(sys.stdlib_module_names) - siblings == {"latfm", "pytest"}
+
+
+# what a printed Fraction or a dataclass would load
+HEAVY_MODULES = {"dataclasses", "inspect", "fractions", "decimal"}
+
+
+def modules_added_by(statement: str) -> set:
+    """Modules that `statement` adds to sys.modules in a fresh interpreter
+    started with -S (no site), with only src on the path."""
+    probe = f"import sys; old = set(sys.modules); {statement}; print(*set(sys.modules) - old)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    return set(proc.stdout.split())
+
+
+def test_import_latfm_loads_no_heavy_module():
+    added = modules_added_by("import latfm")
+    assert {"latfm.lattices", "latfm.family"} <= added
+    assert not added & HEAVY_MODULES
+
+
+def test_import_cli_loads_the_traced_modules_and_not_the_check_suite():
+    # perfbench/worker.py imports latfm.cli, then the tracer looks every
+    # module it names up in sys.modules
+    added = modules_added_by("import latfm.cli")
+    assert {module for _, module, _, _ in load_spans().TARGETS} <= added
+    assert not added & (HEAVY_MODULES | {"latfm.selfcheck"})
 
 
 def test_the_memo_inventory_is_pinned():
