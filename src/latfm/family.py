@@ -48,13 +48,7 @@ def closed_form_module(d: int, n: int) -> FiniteQuadraticModule:
 
 
 class FamilyMember(Frozen):
-    _fields = ("d", "n", "lattice", "embedding")
-
-    def __init__(self, d: int, n: int, lattice: Lattice, embedding: SublatticeEmbedding):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "embedding", embedding)  # into U + U
+    _fields = ("d", "n", "lattice", "embedding")  # embedding into U + U
 
     @property
     def represents_zero_vector(self) -> Vec:
@@ -80,14 +74,11 @@ class DiscIsoWitness(Frozen):
 
     _fields = ("d1", "d2", "n", "alpha")
 
-    def __init__(self, d1: int, d2: int, n: int, alpha: int):
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
-        if gcd(alpha, n) != 1:
+    def __post_init__(self):
+        self._require_int_fields()
+        if gcd(self.alpha, self.n) != 1:
             raise LatfmError("alpha is not a unit")
-        if (d1 * alpha * alpha - d2) % (n * n):
+        if (self.d1 * self.alpha * self.alpha - self.d2) % (self.n * self.n):
             raise LatfmError("alpha does not satisfy d1 alpha^2 = d2 mod n^2")
 
 
@@ -97,23 +88,17 @@ class NonIsometryCertificate(Frozen):
 
     _fields = ("d1", "d2", "n")
 
-    def __init__(self, d1: int, d2: int, n: int):
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "n", n)
-        if (d1 - d2) % n == 0:
+    def __post_init__(self):
+        self._require_int_fields()
+        if (self.d1 - self.d2) % self.n == 0:
             raise LatfmError("certificate invalid: d1 = d2 mod n")
-        if (d1 * d2 - 1) % n == 0:
+        if (self.d1 * self.d2 - 1) % self.n == 0:
             raise LatfmError("certificate invalid: d1 d2 = 1 mod n")
 
 
 class NecessaryConditions(Frozen):
+    # a2: d1 = d2 mod n, b2: d1 d2 = 1 mod n, certificate: None unless both fail
     _fields = ("a2", "b2", "certificate")
-
-    def __init__(self, a2: bool, b2: bool, certificate: NonIsometryCertificate | None):
-        object.__setattr__(self, "a2", a2)  # d1 = d2 mod n
-        object.__setattr__(self, "b2", b2)  # d1 d2 = 1 mod n
-        object.__setattr__(self, "certificate", certificate)
 
 
 def disc_groups_isomorphic(
@@ -154,10 +139,6 @@ class GenusData(Frozen):
 
     _fields = ("signature", "module")
 
-    def __init__(self, signature: Signature, module: FiniteQuadraticModule):
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "module", module)
-
     @property
     def rank(self) -> int:
         return self.signature.rank
@@ -168,12 +149,6 @@ class NikulinAttestation(Frozen):
     conclusion that the two sublattices are isometric."""
 
     _fields = ("rank", "signature", "ell", "disc_iso")
-
-    def __init__(self, rank: int, signature: Signature, ell: int, disc_iso: ModuleIsometry):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "disc_iso", disc_iso)
 
 
 def _check_genus_hypotheses(t1: GenusData, t2: GenusData) -> int:
@@ -287,27 +262,10 @@ def complement_genus_data(member: FamilyMember, ambient: str) -> GenusData:
 
 
 class FamilyBundle(Frozen):
+    # degree is 2d; the last three run over the pairs i < j of members
     _fields = (
         "n", "degree", "ambient", "members", "witnesses", "certificates", "attestations"
     )
-
-    def __init__(
-        self,
-        n: int,
-        degree: int,
-        ambient: str,
-        members: tuple[FamilyMember, ...],
-        witnesses: tuple[DiscIsoWitness, ...],
-        certificates: tuple[NonIsometryCertificate, ...],
-        attestations: tuple[NikulinAttestation, ...],
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)  # 2d
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "witnesses", witnesses)  # over pairs i < j
-        object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "attestations", attestations)
 
 
 def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
@@ -333,7 +291,10 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
     # n is an odd prime above d^2 count^4, so d and every i <= count are
     # units mod n^2, and (Z/n^2)* is cyclic: d i^2 alpha^2 = d j^2 has
     # exactly the roots alpha = +-j/i, the least of which is the witness
-    # disc_groups_isomorphic finds.  DiscIsoWitness checks it.
+    # disc_groups_isomorphic finds.  DiscIsoWitness checks it.  For i < j
+    # both congruences of isometry_necessary_conditions fail, as
+    # 0 < d (j^2 - i^2) < n and 1 < d^2 i^2 j^2 < n: NonIsometryCertificate
+    # checks that.
     square = n * n
     # A(K_i) is generated by v_i / n^2 with v_i = s_i (n, -2 d i^2) mod n^2
     # for a unit s_i, and q = 2 d i^2 s_i^2 / n^2 mod 2Z.  So the units
@@ -351,10 +312,7 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
             witnesses.append(
                 DiscIsoWitness(d_values[i], d_values[j], n, min(root, square - root))
             )
-            conditions = isometry_necessary_conditions(d_values[i], d_values[j], n)
-            if conditions.certificate is None:
-                raise LatfmError("family construction lost its certificate")
-            certificates.append(conditions.certificate)
+            certificates.append(NonIsometryCertificate(d_values[i], d_values[j], n))
             root = root * smith[i] * smith_inverses[j] % square
             attestations.append(
                 _attest_cyclic_pair(profiles[i], profiles[j], min(root, square - root))
@@ -377,16 +335,6 @@ def build_family(count: int, d: int, ambient: str = "k3") -> FamilyBundle:
 
 class OrbitReport(Frozen):
     _fields = ("count", "representatives", "orbits")
-
-    def __init__(
-        self,
-        count: int,
-        representatives: tuple[tuple[int, int], ...],
-        orbits: tuple[tuple[tuple[int, int], ...], ...],
-    ):
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "orbits", orbits)
 
 
 _O_U = (

@@ -99,12 +99,8 @@ def det(m: Mat) -> int:
 
 def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
     """Return (U, D, V) with U*m*V = D diagonal, d_i >= 0, d_i | d_{i+1},
-    and U, V unimodular.  A 1x1 or 2x2 input takes a straight-line form,
-    which returns what _smith_loop returns: for 1x1, the row is negated
-    when its entry is < 0."""
-    if len(m) == 1 and len(m[0]) == 1:
-        a = m[0][0]
-        return ((-1 if a < 0 else 1,),), ((abs(a),),), ((1,),)
+    and U, V unimodular.  A 2x2 input takes a straight-line form, which
+    returns what _smith_loop returns."""
     if len(m) == 2 and len(m[0]) == 2:
         return _smith_2x2(m)
     return _smith_loop(m)

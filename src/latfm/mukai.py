@@ -44,14 +44,11 @@ class MukaiVector(Frozen):
 
     _fields = ("r", "h_mult", "s", "d")
 
-    def __init__(self, r: int, h_mult: int, s: int, d: int):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "h_mult", h_mult)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "d", d)
-        if d < 1:
+    def __post_init__(self):
+        self._require_int_fields()
+        if self.d < 1:
             raise LatfmError("polarization degree parameter d must be positive")
-        if gcd(gcd(r, h_mult), s) != 1:
+        if gcd(gcd(self.r, self.h_mult), self.s) != 1:
             raise NotPrimitiveError("gcd(r, h_mult, s) must be 1")
 
     @property
@@ -87,10 +84,6 @@ class PolarizedEmbedding(Frozen):
 
     _fields = ("d", "h")
 
-    def __init__(self, d: int, h: Vec):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "h", h)
-
     def embed(self, v: MukaiVector) -> Vec:
         if v.d != self.d:
             raise LatfmError("vector belongs to a different polarization degree")
@@ -118,13 +111,6 @@ class ModuliShadow(Frozen):
     (0, h, 2s), and the embedded transcendental block."""
 
     _fields = ("quotient", "ns_generator", "transcendental")
-
-    def __init__(
-        self, quotient: Lattice, ns_generator: Vec, transcendental: SublatticeEmbedding
-    ):
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "ns_generator", ns_generator)
-        object.__setattr__(self, "transcendental", transcendental)
 
 
 @lru_cache(maxsize=1)

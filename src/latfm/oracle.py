@@ -27,11 +27,11 @@ from .lattices import Lattice
 
 class SearchBudget(Frozen):
     _fields = ("entry_bound", "node_limit")
+    _defaults = {"entry_bound": 50, "node_limit": 10_000_000}
 
-    def __init__(self, entry_bound: int = 50, node_limit: int = 10_000_000):
-        object.__setattr__(self, "entry_bound", entry_bound)
-        object.__setattr__(self, "node_limit", node_limit)
-        if entry_bound <= 0 or node_limit <= 0:
+    def __post_init__(self):
+        self._require_int_fields()
+        if self.entry_bound <= 0 or self.node_limit <= 0:
             raise LatfmError("budget parameters must be positive")
 
 
@@ -42,11 +42,6 @@ class IsometryWitness(Frozen):
     """Unimodular B with B^t G_source B = G_target, columns in source coordinates."""
 
     _fields = ("source", "target", "matrix")
-
-    def __init__(self, source: Lattice, target: Lattice, matrix: Mat):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
 
     def holds(self) -> bool:
         b = self.matrix

@@ -62,11 +62,7 @@ SLOW_D_MAX = 30
 
 class CheckResult(Frozen):
     _fields = ("name", "passed", "detail")
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
 
 class CheckFailure(Exception):

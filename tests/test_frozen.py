@@ -1,15 +1,20 @@
 """The value classes keep what @dataclass(frozen=True) gave them: the same
 repr (pinned below as the dataclasses printed it), a hash equal to that of
 the field tuple, equality only within one class, and no assignment or
-deletion.  Memo keys (Lattice) and printed output depend on these."""
+deletion.  Memo keys (Lattice) and printed output depend on these.  A class
+with no __init__ of its own gets one generated from its _fields, taking the
+parameters its hand-written one took."""
 
 import ast
+import gc
+import inspect
 from pathlib import Path
 
 import pytest
 
 import latfm
 from latfm.discriminant import FiniteQuadraticModule, ModuleIsometry
+from latfm.errors import LatfmError
 from latfm.family import (
     UU,
     DiscIsoWitness,
@@ -180,3 +185,110 @@ def test_no_dataclass_is_left_in_src():
                 assert node.module != "dataclasses", path.name
             elif isinstance(node, ast.Name):
                 assert node.id != "dataclass", path.name
+
+
+# each generated __init__'s parameters as the hand-written one declared them
+# (annotations aside): name, or name=default
+GENERATED = {
+    "FamilyMember": "d, n, lattice, embedding",
+    "DiscIsoWitness": "d1, d2, n, alpha",
+    "NonIsometryCertificate": "d1, d2, n",
+    "NecessaryConditions": "a2, b2, certificate",
+    "GenusData": "signature, module",
+    "NikulinAttestation": "rank, signature, ell, disc_iso",
+    "FamilyBundle": "n, degree, ambient, members, witnesses, certificates, attestations",
+    "OrbitReport": "count, representatives, orbits",
+    "MukaiVector": "r, h_mult, s, d",
+    "PolarizedEmbedding": "d, h",
+    "ModuliShadow": "quotient, ns_generator, transcendental",
+    "SearchBudget": "entry_bound=50, node_limit=10000000",
+    "IsometryWitness": "source, target, matrix",
+    "CheckResult": "name, passed, detail=''",
+}
+# the classes that normalise their input in an __init__ of their own
+NORMALISING = {
+    "Lattice", "ModuleIsometry", "FiniteQuadraticModule", "SublatticeEmbedding",
+    "IsotropicQuotient",
+}
+CLASSES = {cls.__name__: cls for cls in Frozen.__subclasses__()}
+# the classes whose __post_init__ checks the fields, with valid integer fields
+CHECKED = {
+    "DiscIsoWitness": (1, 4, 3, 2),
+    "NonIsometryCertificate": (1, 4, 5),
+    "MukaiVector": (1, 1, 2, 2),
+    "SearchBudget": (3, 7),
+}
+
+
+def parameters(cls):
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                     for p in params)
+
+
+def test_only_the_normalising_classes_write_an_init():
+    assert set(GENERATED) | NORMALISING == set(SAMPLES)
+    for name, cls in CLASSES.items():
+        # a generated __init__ is compiled from a string, not read from a file
+        generated = cls.__init__.__code__.co_filename == "<string>"
+        assert generated == (name in GENERATED), name
+        assert "__init__" in cls.__dict__, name
+    # the tracer wraps these two from the class __dict__
+    assert {"Lattice", "ModuleIsometry"} <= NORMALISING
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_signature(name):
+    cls = CLASSES[name]
+    assert parameters(cls) == GENERATED[name]
+    assert cls.__init__.__qualname__ == f"{name}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_init_refuses_a_bad_call(name):
+    cls = CLASSES[name]
+    fields = cls._fields
+    required = len(fields) - len(cls._defaults)
+    if required:
+        with pytest.raises(TypeError, match="missing"):
+            cls(*[None] * (required - 1))
+    with pytest.raises(TypeError, match="unexpected"):
+        cls(*[None] * required, unlisted=None)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*[None] * len(fields), **{fields[0]: None})
+    with pytest.raises(TypeError, match="positional"):
+        cls(*[None] * (len(fields) + 1))
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_post_init_sees_every_field(name, monkeypatch):
+    cls, args = CLASSES[name], CHECKED[name]
+    seen = []
+    monkeypatch.setattr(cls, "__post_init__",
+                        lambda self: seen.append(tuple(vars(self)[f] for f in cls._fields)))
+    cls(*args)
+    assert seen == [args]
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_checked_fields_must_be_integers(name):
+    cls, args = CLASSES[name], CHECKED[name]
+    cls(*args)
+    for i, field in enumerate(cls._fields):
+        for bad in (2.5, float(args[i]), True, False, str(args[i]), None):
+            wrong = args[:i] + (bad,) + args[i + 1:]
+            with pytest.raises(LatfmError, match=f"{name}.{field} must be an integer"):
+                cls(*wrong)
+
+
+def test_a_field_name_that_is_no_identifier_fails_at_class_creation():
+    for fields in (("a b",), ("x", "1y"), ("class",), ("a, b",), ("a=0",)):
+        with pytest.raises(SyntaxError):
+            type("Probe", (Frozen,), {"_fields": fields})
+    # _defaults that are not the trailing fields
+    with pytest.raises(KeyError):
+        type("Probe", (Frozen,), {"_fields": ("a", "b"), "_defaults": {"a": 0}})
+    # the refused classes leave nothing among the value classes
+    gc.collect()
+    assert {cls.__name__ for cls in Frozen.__subclasses__()} == set(SAMPLES)
