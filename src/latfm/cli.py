@@ -128,81 +128,64 @@ def _emit_json(out, payload):
     print(_json_text(payload), file=out)
 
 
-def _int_array(values, newline: str) -> str:
-    """_json_text(values, newline) of a sequence of ints."""
-    if not values:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + newline + "]"
-
-
-def _int_matrix(rows, newline: str) -> str:
-    """_json_text(rows, newline) of a sequence of int sequences."""
-    if not rows:
-        return "[]"
-    inner = newline + "  "
-    texts = [_int_array(row, inner) for row in rows]
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
-
-
 def _items(texts) -> str:
     """A top-level array of objects, each written at indentation 4."""
     return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
 
 
+def _int_template(shape, newline: str) -> str:
+    """The %d template of json.dumps(indent=2) for an int array of the given
+    nonempty shape, written at indentation `newline`."""
+    inner = newline + "  "
+    item = "%d" if len(shape) == 1 else _int_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
+
+
 # the family command's JSON schema, as json.dumps(payload, indent=2) writes
-# it: the whole text, then one template per array item
+# it: the whole text, then one template of fixed shape per array item
 _FAMILY = (
-    '{\n  "n": %s,\n  "degree": %s,\n  "ambient": %s,\n  "members": %s,\n'
+    '{\n  "n": %d,\n  "degree": %d,\n  "ambient": %s,\n  "members": %s,\n'
     '  "witnesses": %s,\n  "certificates": %s,\n  "attestations": %s,\n'
-    '  "polarization": {\n    "member": 1,\n    "square": %s,\n'
+    '  "polarization": {\n    "member": 1,\n    "square": %d,\n'
     '    "vector": [\n      1,\n      0\n    ]\n  },\n  "represents_zero": %s\n}'
 )
 _MEMBER = (
-    '{\n      "d": %s,\n      "n": %s,\n      "lattice": {\n        "rank": %s,\n'
-    '        "gram": %s\n      },\n      "embedding": %s\n    }'
+    '{\n      "d": %d,\n      "n": %d,\n      "lattice": {\n        "rank": %d,\n'
+    '        "gram": ' + _int_template((2, 2), "\n        ") + '\n      },\n'
+    '      "embedding": ' + _int_template((2, 4), "\n      ") + '\n    }'
 )
-_WITNESS = '{\n      "d1": %s,\n      "d2": %s,\n      "n": %s,\n      "alpha": %s\n    }'
-_CERTIFICATE = '{\n      "d1": %s,\n      "d2": %s,\n      "n": %s\n    }'
+_WITNESS = '{\n      "d1": %d,\n      "d2": %d,\n      "n": %d,\n      "alpha": %d\n    }'
+_CERTIFICATE = '{\n      "d1": %d,\n      "d2": %d,\n      "n": %d\n    }'
 _ATTESTATION = (
-    '{\n      "rank": %s,\n      "signature": %s,\n      "ell": %s,\n'
-    '      "disc_iso": %s\n    }'
+    '{\n      "rank": %d,\n      "signature": ' + _int_template((2,), "\n      ")
+    + ',\n      "ell": %d,\n      "disc_iso": ' + _int_template((1, 1), "\n      ")
+    + '\n    }'
 )
-_ZERO = '{\n      "d": %s,\n      "vector": %s\n    }'
+_ZERO = '{\n      "d": %d,\n      "vector": ' + _int_template((2,), "\n      ") + '\n    }'
 
 
 def _family_json(bundle) -> str:
     """json.dumps(payload, indent=2) of the family payload, written straight
-    from the bundle: its fields go through int.__repr__, _encode_str and
-    the int writers above, which raise TypeError on what they cannot
-    write."""
-    text = int.__repr__
-    six, eight = "\n      ", "\n        "
-    members = [
-        _MEMBER % (text(m.d), text(m.n), text(m.lattice.rank),
-                   _int_matrix(m.lattice.gram, eight), _int_matrix(m.embedding.basis, six))
-        for m in bundle.members
-    ]
-    witnesses = [
-        _WITNESS % (text(w.d1), text(w.d2), text(w.n), text(w.alpha))
-        for w in bundle.witnesses
-    ]
-    certificates = [
-        _CERTIFICATE % (text(c.d1), text(c.d2), text(c.n)) for c in bundle.certificates
-    ]
-    attestations = [
-        _ATTESTATION % (text(a.rank), _int_array(a.signature, six), text(a.ell),
-                        _int_matrix(a.disc_iso.matrix, six))
-        for a in bundle.attestations
-    ]
-    zeros = [
-        _ZERO % (text(m.d), _int_array(m.represents_zero_vector, six))
-        for m in bundle.members
-    ]
+    from the bundle into the templates above.  Every %d slot reads a field
+    whose constructor refuses anything but an int (bool included), so no
+    float is ever printed as an int; a member or attestation of another
+    shape raises ValueError or TypeError."""
+    members = []
+    zeros = []
+    for m in bundle.members:
+        (g0, g1), (b0, b1) = m.lattice.gram, m.embedding.basis
+        members.append(_MEMBER % (m.d, m.n, m.lattice.rank, *g0, *g1, *b0, *b1))
+        zeros.append(_ZERO % (m.d, *m.represents_zero_vector))
+    witnesses = [_WITNESS % (w.d1, w.d2, w.n, w.alpha) for w in bundle.witnesses]
+    certificates = [_CERTIFICATE % (c.d1, c.d2, c.n) for c in bundle.certificates]
+    attestations = []
+    for a in bundle.attestations:
+        ((alpha,),) = a.disc_iso.matrix
+        attestations.append(_ATTESTATION % (a.rank, *a.signature, a.ell, alpha))
     return _FAMILY % (
-        text(bundle.n), text(bundle.degree), _encode_str(bundle.ambient),
+        bundle.n, bundle.degree, _encode_str(bundle.ambient),
         _items(members), _items(witnesses), _items(certificates),
-        _items(attestations), text(bundle.degree), _items(zeros),
+        _items(attestations), bundle.degree, _items(zeros),
     )
 
 

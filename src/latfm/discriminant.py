@@ -31,7 +31,6 @@ from .frozen import Frozen
 from .intmat import (
     Mat,
     Vec,
-    freeze,
     integer_solver,
     invariant_factors,
     mat_mul,
@@ -65,11 +64,8 @@ class FiniteQuadraticModule(Frozen):
         even: bool = True,
     ):
         factors = tuple(factors)
-        generators = freeze(generators)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "even", even)
-        gram = freeze(gram)
+        generators = tuple(map(tuple, generators))
+        gram = tuple(map(tuple, gram))
         if len(factors) != 1:
             gram = _checked_form(factors, generators, gram, even)
         else:
@@ -83,8 +79,10 @@ class FiniteQuadraticModule(Frozen):
                 raise LatfmError("invariant factors must all exceed 1")
             if generators and len(generators) != 1:
                 raise LatfmError("generator count does not match factor count")
-            if any(type(x) is not int for col in generators for x in col):
-                raise LatfmError("generator entries must be integers")
+            for col in generators:
+                for x in col:
+                    if type(x) is not int:
+                        raise LatfmError("generator entries must be integers")
             if len(gram) != 1 or len(gram[0]) != 1:
                 raise LatfmError("form matrix has wrong shape")
             ((x,),) = gram
@@ -97,7 +95,7 @@ class FiniteQuadraticModule(Frozen):
             else:
                 x %= f
             gram = ((x,),)
-        object.__setattr__(self, "gram", gram)
+        self.__dict__.update(factors=factors, generators=generators, gram=gram, even=even)
 
     @property
     def exponent(self) -> int:
@@ -302,21 +300,24 @@ class ModuleIsometry(Frozen):
     def __init__(
         self, source: FiniteQuadraticModule, target: FiniteQuadraticModule, matrix: Mat
     ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        k_t = target.ell
+        mat = tuple(map(tuple, matrix))
+        factors = target.factors
         k_s = source.ell
-        mat = freeze(matrix)
-        if len(mat) != k_t or any(len(row) != k_s for row in mat):
+        if len(mat) != len(factors):
             raise LatfmError("isometry matrix has wrong shape")
-        mat = tuple(
-            tuple(x % f for x in row) for row, f in zip(mat, target.factors)
-        )
-        object.__setattr__(self, "matrix", mat)
+        for row in mat:
+            if len(row) != k_s:
+                raise LatfmError("isometry matrix has wrong shape")
+        for row in mat:
+            for x in row:
+                if type(x) is not int:  # bool is refused too
+                    raise LatfmError("isometry matrix entries must be integers")
+        mat = tuple([tuple([x % f for x in row]) for row, f in zip(mat, factors)])
         for j, d in enumerate(source.factors):
-            for i, f in enumerate(target.factors):
+            for i, f in enumerate(factors):
                 if (d * mat[i][j]) % f:
                     raise LatfmError("map is not a well-defined homomorphism")
+        self.__dict__.update(source=source, target=target, matrix=mat)
 
     def column(self, j: int) -> Vec:
         return tuple(self.matrix[i][j] for i in range(self.target.ell))

@@ -21,7 +21,7 @@ from .discriminant import (
 from .errors import HypothesisFailedError, LatfmError, NotCoprimeError
 from .fmcount import unitary_divisors
 from .frozen import Frozen
-from .intmat import Vec, mat_vec, smith_normal_form, vec_dot
+from .intmat import Vec, smith_normal_form
 from .lattices import (
     K3,
     Lattice,
@@ -247,17 +247,18 @@ def complement_genus_data(member: FamilyMember, ambient: str) -> GenusData:
     gram = family_gram(-member.d, -member.n)  # -G
     _, diagonal, transform = smith_normal_form(gram)
     f = diagonal[1][1]
-    v = (transform[0][1], transform[1][1])
-    image = mat_vec(gram, v)
-    if f != abs(lattice.det) or any(x % f for x in image) or gcd(*v, f) != 1:
+    v0, v1 = transform[0][1], transform[1][1]
+    (a, b), (_, c) = gram
+    x0, x1 = a * v0 + b * v1, b * v0 + c * v1  # -G v
+    if f != abs(lattice.det) or x0 % f or x1 % f or gcd(v0, v1, f) != 1:
         raise LatfmError("Smith generator of the complement does not generate A(K)")
-    # sig W = sig(ambient) - sig(U+U), from signatures cached per process
+    # sig W = sig(ambient) - sig(U+U), from signatures computed at import
     whole, head, own = AMBIENTS[ambient].signature, UU.signature, lattice.signature
     return GenusData(
         signature=Signature(
             own.minus + whole.plus - head.plus, own.plus + whole.minus - head.minus
         ),
-        module=cyclic_module(f, vec_dot(v, image) // f, generator=v),
+        module=cyclic_module(f, (v0 * x0 + v1 * x1) // f, generator=(v0, v1)),
     )
 
 

@@ -116,35 +116,40 @@ def _signature_loop(gram: Mat) -> tuple[int, Signature]:
 
 
 class Lattice(Frozen):
-    """Non-degenerate integral lattice given by its Gram matrix."""
+    """Non-degenerate integral lattice given by its Gram matrix.
+
+    det and signature are computed once, here, by _signature_of_gram."""
 
     _fields = ("gram",)
 
     def __init__(self, gram: Mat):
         try:
-            g = freeze(gram)
+            g = tuple(map(tuple, gram))
         except TypeError:
             raise LatfmError("Gram matrix must be a list of rows") from None
-        if any(type(x) is not int for row in g for x in row):
-            raise LatfmError("Gram matrix entries must be integers")
-        object.__setattr__(self, "gram", g)
+        for row in g:
+            for x in row:
+                if type(x) is not int:
+                    raise LatfmError("Gram matrix entries must be integers")
         n = len(g)
-        if n == 0 or any(len(row) != n for row in g):
+        if n == 0:
             raise LatfmError("Gram matrix must be square of positive size")
-        for i in range(n):
+        for row in g:
+            if len(row) != n:
+                raise LatfmError("Gram matrix must be square of positive size")
+        for i in range(1, n):
+            row = g[i]
             for j in range(i):
-                if g[i][j] != g[j][i]:
+                if row[j] != g[j][i]:
                     raise NotSymmetricError(f"gram[{i}][{j}] != gram[{j}][{i}]")
-        if self.det == 0:
+        det_signature = _signature_of_gram(g)
+        if det_signature[0] == 0:
             raise DegenerateError("Gram matrix has determinant zero")
+        self.__dict__.update(gram=g, _det_signature=det_signature)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @cached_property
-    def _det_signature(self) -> tuple[int, Signature]:
-        return _signature_of_gram(self.gram)
 
     @property
     def det(self) -> int:
@@ -185,13 +190,13 @@ def direct_sum(*lattices: Lattice) -> Lattice:
             for j in range(lat.rank):
                 rows[offset + i][offset + j] = lat.gram[i][j]
         offset += lat.rank
-    return Lattice(freeze(rows))
+    return Lattice(rows)
 
 
 def rescale(lattice: Lattice, k: int) -> Lattice:
     if k == 0:
         raise ZeroScaleError("cannot rescale by zero")
-    return Lattice(freeze((k * x for x in row) for row in lattice.gram))
+    return Lattice([k * x for x in row] for row in lattice.gram)
 
 
 class SublatticeEmbedding(Frozen):
@@ -200,14 +205,18 @@ class SublatticeEmbedding(Frozen):
     _fields = ("ambient", "basis")
 
     def __init__(self, ambient: Lattice, basis: tuple[Vec, ...]):
-        basis = freeze(basis)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
+        basis = tuple(map(tuple, basis))
         n = ambient.rank
-        if any(len(v) != n for v in basis):
-            raise LatfmError("basis vector length does not match ambient rank")
+        for v in basis:
+            if len(v) != n:
+                raise LatfmError("basis vector length does not match ambient rank")
+        for v in basis:
+            for x in v:
+                if type(x) is not int:  # bool is refused too
+                    raise LatfmError("basis entries must be integers")
         if basis and matrix_rank(basis) != len(basis):
             raise LatfmError("basis vectors are linearly dependent")
+        self.__dict__.update(ambient=ambient, basis=basis)
 
     @property
     def rank(self) -> int:

@@ -32,7 +32,7 @@ from latfm.errors import (
     SearchSpaceTooLargeError,
 )
 from latfm.family import AMBIENTS, build_family, embed_member
-from latfm.intmat import identity, mat_vec, smith_normal_form
+from latfm.intmat import freeze, identity, mat_vec, smith_normal_form
 from latfm.lattices import (
     E8,
     K3,
@@ -217,6 +217,129 @@ class TestDiscriminantModule:
             assert branch == generic, (factors, gram, even)
             errors += isinstance(branch, str)
         assert 0 < errors < len(cases)
+
+
+def reference_module(factors, generators, gram, even=True):
+    """FiniteQuadraticModule.__init__ before it was written as plain loops:
+    freeze and any() over the entries; a module of any other number of
+    factors than one goes through _checked_form, which is unchanged.
+    Returns the four fields or raises what the constructor raised."""
+    factors = tuple(factors)
+    generators = freeze(generators)
+    gram = freeze(gram)
+    if len(factors) != 1:
+        return factors, generators, _checked_form(factors, generators, gram, even), even
+    (f,) = factors
+    if type(f) is not int:
+        raise LatfmError("invariant factors must be integers")
+    if f <= 1:
+        raise LatfmError("invariant factors must all exceed 1")
+    if generators and len(generators) != 1:
+        raise LatfmError("generator count does not match factor count")
+    if any(type(x) is not int for col in generators for x in col):
+        raise LatfmError("generator entries must be integers")
+    if len(gram) != 1 or len(gram[0]) != 1:
+        raise LatfmError("form matrix has wrong shape")
+    ((x,),) = gram
+    if type(x) is not int:
+        raise LatfmError("form matrix entries must be integers")
+    if even:
+        x %= 2 * f
+        if f * x % 2:
+            raise LatfmError("q value incompatible with generator order")
+    else:
+        x %= f
+    return factors, generators, ((x,),), even
+
+
+def module_fields(make, *args):
+    try:
+        module = make(*args)
+    except Exception as err:  # the type and message are compared
+        return type(err), str(err)
+    if isinstance(module, FiniteQuadraticModule):
+        return module.factors, module.generators, module.gram, module.even
+    return module
+
+
+def module_cases(rng):
+    """(factors, generators, gram, even) with 1-4 factors in a divisibility
+    chain, a symmetric form and generator columns, each also broken one
+    way: a float, bool or str entry, a ragged, int or str row, a factor of
+    0 or 1, an asymmetric form, a missing or extra generator."""
+    k = rng.randint(1, 4)
+    factors = [rng.choice([2, 3, 4])]
+    while len(factors) < k:
+        factors.append(factors[-1] * rng.choice([1, 2, 3]))
+    e = factors[-1]
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            # b(g_i, g_j) a multiple of e / f_i and of e / f_j
+            step = lcm(e // factors[i], e // factors[j])
+            gram[i][j] = gram[j][i] = step * rng.randint(-3, 3)
+    generators = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(k)]
+    even = rng.random() < 0.7
+    i, j = rng.randrange(k), rng.randrange(k)
+
+    def with_entry(rows, value):
+        out = [list(row) for row in rows]
+        out[i][j % len(out[i])] = value
+        return out
+
+    def with_row(rows, value):
+        return rows[:i] + [value] + rows[i + 1:]
+
+    yield factors, generators, gram, even
+    yield factors, (), tuple(map(tuple, gram)), not even
+    for bad in (float(gram[i][j]), True, str(gram[i][j])):
+        yield factors, generators, with_entry(gram, bad), even
+        yield factors, with_entry(generators, bad), gram, even
+        yield with_row(factors, bad), generators, gram, even
+    for bad in (gram[i][:-1], gram[i][0], "x" * k):
+        yield factors, generators, with_row(gram, bad), even
+    yield factors, with_row(generators, 7), gram, even
+    yield with_row(factors, rng.choice([0, 1])), generators, gram, even
+    yield factors, generators[1:], gram, even
+    yield factors, generators + [generators[0]], gram, even
+    if k > 1:
+        yield factors, generators, with_entry(gram, gram[i][j] + 1), even
+
+
+def test_the_module_constructor_matches_the_reference_validation():
+    """The straight-line FiniteQuadraticModule constructor against the
+    freeze and any() validation it replaced, on a seeded grid of 1-4
+    factors, each case also broken one way, plus the trivial and empty
+    inputs: the same fields, or the same error type and message."""
+    rng = random.Random(33)
+    cases = [((), (), (), True), ((), (), [[]], True), ((3,), (), (), True),
+             ((3,), (), 5, True), ((3,), 5, ((0,),), True), ((3,), (), [[]], False),
+             ((3,), (), [()], True), ((3,), ((1, 2),), "a", True), ([9], [(1, 2)], [[4]], True)]
+    for _ in range(400):
+        cases.extend(module_cases(rng))
+    outcomes = set()
+    for case in cases:
+        want = module_fields(reference_module, *case)
+        assert module_fields(FiniteQuadraticModule, *case) == want, case
+        outcomes.add(want[1] if isinstance(want[0], type) else "ok")
+    assert "ok" in outcomes and len(outcomes) >= 10, outcomes
+
+
+class TestModuleIsometryConstruction:
+    @pytest.mark.parametrize("matrix", [((1.0,),), ((True,),), (("1",),), ((2.5,),)])
+    def test_refuses_matrix_entries_that_are_not_ints(self, matrix):
+        module = cyclic_module(9, 2, generator=(1,))
+        with pytest.raises(LatfmError, match="isometry matrix entries must be integers"):
+            ModuleIsometry(module, module, matrix)
+
+    def test_reduces_int_entries_mod_the_target_factors(self):
+        module = cyclic_module(9, 2, generator=(1,))
+        assert ModuleIsometry(module, module, [[-1]]).matrix == ((8,),)
+
+    def test_a_wrong_shape_is_refused_before_the_entries(self):
+        module = cyclic_module(9, 2, generator=(1,))
+        with pytest.raises(LatfmError, match="wrong shape"):
+            ModuleIsometry(module, module, ((1.0, 2),))
 
 
 class TestIsometrySearch:

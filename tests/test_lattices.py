@@ -12,7 +12,7 @@ from latfm.errors import (
     ZeroScaleError,
 )
 from latfm import lattices
-from latfm.intmat import det, rank
+from latfm.intmat import det, freeze, rank
 from latfm.lattices import (
     E8,
     E8_MINUS,
@@ -80,6 +80,20 @@ class TestConstruction:
     def test_not_square(self):
         with pytest.raises(LatfmError):
             make_lattice([[1, 0]])
+
+
+class TestEmbeddingConstruction:
+    @pytest.mark.parametrize("basis", [((1.5, 0, 0, 0),), ((True, 0, 0, 0),), ("abcd",),
+                                       ((1, 0, 0, 0), (0, 1, 0.0, 0)),
+                                       ((1, 0, 0, 0), (0, False, 1, 0))])
+    def test_refuses_basis_entries_that_are_not_ints(self, basis):
+        with pytest.raises(LatfmError) as info:
+            SublatticeEmbedding(UU, basis)
+        assert str(info.value) == "basis entries must be integers"
+
+    def test_a_short_vector_is_refused_before_its_entries(self):
+        with pytest.raises(LatfmError, match="length does not match"):
+            SublatticeEmbedding(UU, ((1.5, 0, 0, 0), (1, 0)))
 
 
 class TestInvariants:
@@ -392,3 +406,93 @@ class TestSignatureStraightLine:
         assert _signature_of_gram(((-4,),)) == (-4, Signature(0, 1))
         assert _signature_of_gram(((2, 3), (3, 0))) == (-9, Signature(1, 1))
         assert _signature_of_gram(((0, 0), (0, -5))) == (0, Signature(0, 1))
+
+
+def reference_lattice(gram):
+    """Lattice.__init__ before it was written as plain loops: freeze, any()
+    over the entries and rows, and the determinant checked last, here with
+    det and signature read from intmat.det and the Fraction signature.
+    Returns (gram, det, signature) or raises what the constructor raised."""
+    try:
+        g = freeze(gram)
+    except TypeError:
+        raise LatfmError("Gram matrix must be a list of rows") from None
+    if any(type(x) is not int for row in g for x in row):
+        raise LatfmError("Gram matrix entries must be integers")
+    n = len(g)
+    if n == 0 or any(len(row) != n for row in g):
+        raise LatfmError("Gram matrix must be square of positive size")
+    for i in range(n):
+        for j in range(i):
+            if g[i][j] != g[j][i]:
+                raise NotSymmetricError(f"gram[{i}][{j}] != gram[{j}][{i}]")
+    if det(g) == 0:
+        raise DegenerateError("Gram matrix has determinant zero")
+    return g, det(g), fraction_signature(g)
+
+
+def malformed_grams(rng, rows):
+    """Copies of a square int matrix (a list of lists) broken one way each."""
+    n = len(rows)
+    i, j = rng.randrange(n), rng.randrange(n)
+
+    def with_entry(value, at=(i, j)):
+        out = [list(row) for row in rows]
+        out[at[0]][at[1]] = value
+        return out
+
+    def with_row(value):
+        return rows[:i] + [value] + rows[i + 1:]
+
+    yield with_entry(float(rows[i][j]))
+    yield with_entry(rng.choice([True, False]))
+    yield with_entry(str(rows[i][j]))
+    yield with_row(rows[i][:-1])  # ragged
+    yield with_row(rows[i][0])  # an int row
+    yield with_row("x" * n)  # a str row
+    yield rows + [rows[0]]
+    yield rows[:i] + rows[i + 1:]
+    if n > 1:
+        k = (i + 1) % n
+        yield with_entry(rows[i][k] + 1, at=(i, k))  # asymmetric
+
+
+def constructed(make, gram):
+    try:
+        lat = make(gram)
+    except Exception as err:  # the type and message are compared
+        return type(err), str(err)
+    return (lat.gram, lat.det, lat.signature) if isinstance(lat, Lattice) else lat
+
+
+class TestConstructorAgainstTheReferenceValidation:
+    """The straight-line Lattice constructor against the freeze and any()
+    validation it replaced, on a seeded grid of ranks 1-4 (entries -3..3,
+    some degenerate) and of the same matrices broken one way each: a float,
+    bool or str entry, ragged, too many or too few rows, an int row, a str
+    row and an asymmetric entry; plus empty and non-iterable inputs.  Both
+    give the same gram, det and signature, or the same error type and
+    message."""
+
+    def test_seeded_grid(self):
+        rng = random.Random(33)
+        grams = [(), [], [[]], [()], 5, None, "ab", ["ab", "cd"], [[1, 2], 3], [[True]],
+                 [[1.0]], ((0,),), ([2, 1], (1, 2))]
+        for _ in range(600):
+            n = rng.randint(1, 4)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+            grams.append(rows)
+            grams.append(tuple(map(tuple, rows)))
+            grams.extend(malformed_grams(rng, rows))
+        outcomes = set()
+        for gram in grams:
+            want = constructed(reference_lattice, gram)
+            assert constructed(Lattice, gram) == want, gram
+            outcomes.add(want[0] if isinstance(want[0], type) else "ok")
+        assert outcomes == {"ok", LatfmError, NotSymmetricError, DegenerateError}
+        # an iterator of rows is read once, by both
+        rows = [[1, 0], [0, -1]]
+        assert constructed(Lattice, iter(rows)) == constructed(reference_lattice, iter(rows))

@@ -169,6 +169,23 @@ def test_family_runs_no_module_search():
         assert metrics["lattices.lattice_init.calls"] == 3
 
 
+def test_family_validates_each_value_once():
+    # four members and six pairs: each member is one Lattice, with one
+    # signature, and one 2x2 SNF, for its complement's module; each pair's
+    # attestation is one ModuleIsometry.  A check added on top of the
+    # constructors' own shows up here.  The complement writes -G v and
+    # v.(-G v) inline, so the op runs no intmat matrix or vector product
+    for ambient in ("k3", "abelian"):
+        argv = ["family", "--count", "4", "--degree", "2", "--ambient", ambient, "--json"]
+        code, _, metrics = traced_run(argv)
+        assert code == 0
+        assert metrics["lattices.lattice_init.calls"] == 4
+        assert metrics["lattices.signature.calls"] == 4
+        assert metrics["discriminant.module_isometry.calls"] == 6
+        assert metrics["intmat.snf.calls"] == 4
+        assert metrics["intmat.mat_ops.calls"] == 0
+
+
 # sha256 of the stdout of `family --count 3 --degree 2 --ambient A --json`
 FAMILY_3_2 = {
     "k3": "3f3bd043b1549d6070ac203ee1360a65a7578f233e5c21d6d32093acc4a94225",
