@@ -67,6 +67,8 @@ def prime_factorization(n: int) -> dict[int, int]:
     Every prime reported is proven.  Raises LatfmError when a factor would
     need a primality proof at or above MR_LIMIT.
     """
+    if type(n) is not int:  # bool is refused too
+        raise LatfmError("n must be an integer")
     if n < 1:
         raise LatfmError("expected a positive integer")
     out: dict[int, int] = {}
@@ -172,6 +174,8 @@ def is_prime(n: int) -> bool:
     """Exact primality.  Raises LatfmError for an n at or above MR_LIMIT that
     passes Miller-Rabin to the first 13 prime bases, since no proof is
     available there."""
+    if type(n) is not int:  # bool is refused too
+        raise LatfmError("n must be an integer")
     if n < _SMALL_SQUARE:
         if n < 2:
             return False

@@ -44,44 +44,47 @@ def isotropic_pair(gram: Mat, n: int) -> tuple[tuple[int, int], tuple[int, int]]
     return pair[0], pair[1]
 
 
-def _pairing(gram: Mat, u, v) -> int:
-    (a, b), (_, c) = gram
-    return a * u[0] * v[0] + b * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
-
-
 def isometries(g1: Mat, g2: Mat) -> tuple[Mat, ...]:
     """Every integral B with B^t g1 B = g2, for rank-2 Gram matrices of one
     determinant -n^2 with n >= 1, ordered by column 0 and then column 1."""
     n = square_root_of_discriminant(g1)
     if not n or square_root_of_discriminant(g2) != n:
         raise LatfmError("both forms must have one determinant -n^2 with n >= 1")
-    p1, q1 = isotropic_pair(g1, n)
-    p2, q2 = isotropic_pair(g2, n)
-    m1, m2 = _pairing(g1, p1, q1), _pairing(g2, p2, q2)
-    if m1 != m2 and m1 != -m2:
+    return _isometries(g1, g2, n)
+
+
+def _isometries(g1: Mat, g2: Mat, n: int) -> tuple[Mat, ...]:
+    """isometries(g1, g2) for two symmetric forms of determinant -n^2."""
+    (a1, b1), (_, c1) = g1
+    (a2, b2), (_, c2) = g2
+    (p1x, p1y), (q1x, q1y) = isotropic_pair(g1, n)
+    (p2x, p2y), (q2x, q2y) = isotropic_pair(g2, n)
+    m1 = a1 * p1x * q1x + b1 * (p1x * q1y + p1y * q1x) + c1 * p1y * q1y
+    m2 = a2 * p2x * q2x + b2 * (p2x * q2y + p2y * q2x) + c2 * p2y * q2y
+    if m1 == m2:
+        candidates = ((p1x, p1y, q1x, q1y), (q1x, q1y, p1x, p1y))
+    elif m1 == -m2:
+        candidates = ((p1x, p1y, -q1x, -q1y), (q1x, q1y, -p1x, -p1y))
+    else:
         return ()
-    # B (p2 | q2) = (x | sign y), so B = (x | sign y) adj(p2 | q2) / det(p2 | q2);
-    # -B is then an isometry too
-    sign = 1 if m1 == m2 else -1
-    det_p = p2[0] * q2[1] - q2[0] * p2[1]
+    # B (p2 | q2) = (x | y) with y = +-(the other line), so
+    # B = (x | y) adj(p2 | q2) / det(p2 | q2); -B is then an isometry too
+    det_p = p2x * q2y - q2x * p2y
     found = []
-    for x, y in ((p1, q1), (q1, p1)):
-        nums = [
-            (x[i] * q2[1] - sign * y[i] * p2[1], sign * y[i] * p2[0] - x[i] * q2[0])
-            for i in range(2)
-        ]
-        if any(num % det_p for row in nums for num in row):
+    for x0, x1, y0, y1 in candidates:
+        e, r0 = divmod(x0 * q2y - y0 * p2y, det_p)
+        f, r1 = divmod(y0 * p2x - x0 * q2x, det_p)
+        g, r2 = divmod(x1 * q2y - y1 * p2y, det_p)
+        h, r3 = divmod(y1 * p2x - x1 * q2x, det_p)
+        if r0 or r1 or r2 or r3:
             continue
-        mat = tuple(tuple(num // det_p for num in row) for row in nums)
-        if _transform(g1, mat) == g2:
-            found += [mat, tuple(tuple(-v for v in row) for row in mat)]
-    return tuple(sorted(found, key=lambda mat: tuple(zip(*mat))))
-
-
-def _transform(gram: Mat, mat: Mat) -> Mat:
-    """B^t G B for 2x2 matrices."""
-    cols = tuple(zip(*mat))
-    return tuple(tuple(_pairing(gram, u, v) for v in cols) for u in cols)
+        # B = [[e, f], [g, h]]: B^t g1 B pairs its columns (e, g) and (f, h)
+        if (a1 * e * e + 2 * b1 * e * g + c1 * g * g == a2
+                and a1 * e * f + b1 * (e * h + g * f) + c1 * g * h == b2
+                and a1 * f * f + 2 * b1 * f * h + c1 * h * h == c2):
+            found += [(e, g, f, h), (-e, -g, -f, -h)]
+    found.sort()  # column 0 is (e, g), column 1 is (f, h)
+    return tuple([((e, f), (g, h)) for e, g, f, h in found])
 
 
 def _node_limit_out_of_reach(budget: SearchBudget) -> bool:
@@ -107,19 +110,22 @@ def search_outcome(
     meets first, else the search's exhaustion error.  Anything else goes to
     find_isometry_bounded.
     """
-    n = square_root_of_discriminant(l1.gram)
+    g1, g2 = l1.gram, l2.gram
+    n = square_root_of_discriminant(g1)
     if (
         not n
         or l2.rank != 2
         or l2.det != l1.det
-        or l2.is_even != l1.is_even
+        # a rank-2 form is even when both diagonal entries are
+        or (g1[0][0] | g1[1][1]) & 1 != (g2[0][0] | g2[1][1]) & 1
         or not _node_limit_out_of_reach(budget)
     ):
         return find_isometry_bounded(l1, l2, budget)
-    if l1.gram == l2.gram:
+    if g1 == g2:
         return IsometryWitness(l1, l2, identity(2))
     bound = budget.entry_bound
-    for mat in isometries(l1.gram, l2.gram):
-        if all(abs(x) <= bound for row in mat for x in row):
+    for mat in _isometries(g1, g2, n):
+        (e, f), (g, h) = mat
+        if abs(e) <= bound and abs(f) <= bound and abs(g) <= bound and abs(h) <= bound:
             return IsometryWitness(l1, l2, mat)
     raise no_witness_within(budget)

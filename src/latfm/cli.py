@@ -97,7 +97,9 @@ def _json_text(value, newline: str = "\n") -> str:
     str, int, bool and None; TypeError for anything else, subclasses of str
     and int included.  `newline` is a newline and the indentation of
     `value`.  The stdlib's indented encoder is pure Python and costs about
-    twice as much."""
+    twice as much.  disc, mukai and orbits write their JSON through it, and
+    isometry its rank-1 and rank >= 3 witnesses; family, fm-count and the
+    rest of isometry fill fixed templates."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         return scalar(value)
@@ -189,6 +191,19 @@ def _family_json(bundle) -> str:
     )
 
 
+# the fm-count command's JSON schema: the whole text, then one template per
+# row, without and with --verify
+_FM_COUNT = '{\n  "results": %s\n}'
+_FM_ROW = (
+    '{\n      "degree": %d,\n      "d": %d,\n      "p": %d,\n'
+    '      "fm_partners": %d\n    }'
+)
+_FM_VERIFIED_ROW = (
+    '{\n      "degree": %d,\n      "d": %d,\n      "p": %d,\n'
+    '      "fm_partners": %d,\n      "fm_partners_via_cosets": %d\n    }'
+)
+
+
 def _cmd_fm_count(args, out) -> int:
     if (args.degree is None) == (args.range is None):
         raise UsageError("provide exactly one of --degree or --range")
@@ -196,25 +211,25 @@ def _cmd_fm_count(args, out) -> int:
         ds = [_parse_degree(args.degree)]
     else:
         ds = [degree // 2 for degree in _parse_degree_range(args.range)]
+    # (degree, d, p, fm_partners[, fm_partners_via_cosets]), each an int
     rows = []
     for d in ds:
         p, partners = fm_count_rho1_with_p(d)
-        row = {"degree": 2 * d, "d": d, "p": p, "fm_partners": partners}
         if args.verify:
-            row["fm_partners_via_cosets"] = fm_count_rho1_via_cosets(d)
-            if row["fm_partners_via_cosets"] != row["fm_partners"]:
+            via_cosets = fm_count_rho1_via_cosets(d)
+            if via_cosets != partners:
                 raise LatfmError(f"count cross-check failed at d={d}")
-        rows.append(row)
+            rows.append((2 * d, d, p, partners, via_cosets))
+        else:
+            rows.append((2 * d, d, p, partners))
     if args.json:
-        _emit_json(out, {"results": rows})
+        row_template = _FM_VERIFIED_ROW if args.verify else _FM_ROW
+        print(_FM_COUNT % _items([row_template % row for row in rows]), file=out)
     else:
-        for row in rows:
-            line = (
-                f"degree={row['degree']} d={row['d']} p={row['p']} "
-                f"fm_partners={row['fm_partners']}"
-            )
-            if args.verify:
-                line += f" via_cosets={row['fm_partners_via_cosets']}"
+        for degree, d, p, partners, *via_cosets in rows:
+            line = f"degree={degree} d={d} p={p} fm_partners={partners}"
+            if via_cosets:
+                line += f" via_cosets={via_cosets[0]}"
             print(line, file=out)
     return 0
 
@@ -306,6 +321,14 @@ def _cmd_family(args, out) -> int:
     return 0
 
 
+# the isometry command's JSON for an invariant mismatch, and for a rank-2
+# witness, whose entries the search and latfm.binary compute as ints
+_NOT_ISOMETRIC = '{\n  "isometric": false,\n  "reason": "invariant mismatch"\n}'
+_ISOMETRIC_2 = (
+    '{\n  "isometric": true,\n  "matrix": ' + _int_template((2, 2), "\n  ") + '\n}'
+)
+
+
 def _cmd_isometry(args, out) -> int:
     l1 = _parse_gram(args.gram1)
     l2 = _parse_gram(args.gram2)
@@ -315,16 +338,18 @@ def _cmd_isometry(args, out) -> int:
             raise UsageError(f"{flag} must be a positive integer, got {value}")
     budget = SearchBudget(entry_bound=args.budget_entries, node_limit=args.budget_nodes)
     witness = search_outcome(l1, l2, budget)
-    if witness is None:
-        payload = {"isometric": False, "reason": "invariant mismatch"}
-    else:
-        payload = {"isometric": True, "matrix": [list(row) for row in witness.matrix]}
-    if args.json:
-        _emit_json(out, payload)
+    if not args.json:
+        if witness is None:
+            print("non-isometric (determinant, parity or signature differ)", file=out)
+        else:
+            print(f"isometric via {[list(row) for row in witness.matrix]}", file=out)
     elif witness is None:
-        print("non-isometric (determinant, parity or signature differ)", file=out)
+        print(_NOT_ISOMETRIC, file=out)
+    elif len(witness.matrix) == 2:
+        (e, f), (g, h) = witness.matrix
+        print(_ISOMETRIC_2 % (e, f, g, h), file=out)
     else:
-        print(f"isometric via {payload['matrix']}", file=out)
+        _emit_json(out, {"isometric": True, "matrix": [list(row) for row in witness.matrix]})
     return 0
 
 

@@ -30,6 +30,8 @@ from .oracle import closure, double_coset_count, enumerate_self_isometries
 
 def distinct_prime_count(d: int) -> int:
     """Number of distinct primes dividing d, with the convention p(1) = 1."""
+    if type(d) is not int:  # bool is refused too
+        raise LatfmError("d must be an integer")
     if d < 1:
         raise LatfmError("d must be positive")
     if d == 1:
@@ -79,7 +81,7 @@ def fm_count_rho1_via_cosets(d: int) -> int:
 
     Must equal fm_count_rho1(d); the selftest asserts this across a range.
     """
-    if not isinstance(d, int):
+    if type(d) is not int:  # bool is refused too, before the memo
         raise LatfmError("d must be an integer")
     if d < 1:
         raise LatfmError("d must be positive")

@@ -157,6 +157,22 @@ def test_factorization_and_primality():
         prime_factorization(0)
 
 
+# bool is an int subclass that the number theory refuses, as Frozen fields do
+NON_INTS = [True, False, 7.0, 6.0, Fraction(6), "7", None]
+
+
+@pytest.mark.parametrize("n", NON_INTS)
+def test_primality_refuses_a_non_int(n):
+    with pytest.raises(LatfmError, match="n must be an integer"):
+        is_prime(n)
+
+
+@pytest.mark.parametrize("n", NON_INTS)
+def test_factorization_refuses_a_non_int(n):
+    with pytest.raises(LatfmError, match="n must be an integer"):
+        prime_factorization(n)
+
+
 def trial_prime_factorization(n):
     out = {}
     p = 2

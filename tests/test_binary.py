@@ -77,6 +77,59 @@ def within(mats, bound):
     return {m for m in mats if all(abs(x) <= bound for row in m for x in row)}
 
 
+def _pairing(gram, u, v):
+    (a, b), (_, c) = gram
+    return a * u[0] * v[0] + b * (u[0] * v[1] + u[1] * v[0]) + c * u[1] * v[1]
+
+
+def _transform(gram, mat):
+    """B^t G B for 2x2 matrices."""
+    cols = tuple(zip(*mat))
+    return tuple(tuple(_pairing(gram, u, v) for v in cols) for u in cols)
+
+
+def reference_isometries(g1, g2):
+    """The vector form of isometries(): pairings through _pairing, the
+    candidates as rows of numerators, and B^t G1 B = G2 on whole matrices."""
+    n = square_root_of_discriminant(g1)
+    if not n or square_root_of_discriminant(g2) != n:
+        raise LatfmError("both forms must have one determinant -n^2 with n >= 1")
+    p1, q1 = isotropic_pair(g1, n)
+    p2, q2 = isotropic_pair(g2, n)
+    m1, m2 = _pairing(g1, p1, q1), _pairing(g2, p2, q2)
+    if m1 != m2 and m1 != -m2:
+        return ()
+    sign = 1 if m1 == m2 else -1
+    det_p = p2[0] * q2[1] - q2[0] * p2[1]
+    found = []
+    for x, y in ((p1, q1), (q1, p1)):
+        nums = [
+            (x[i] * q2[1] - sign * y[i] * p2[1], sign * y[i] * p2[0] - x[i] * q2[0])
+            for i in range(2)
+        ]
+        if any(num % det_p for row in nums for num in row):
+            continue
+        mat = tuple(tuple(num // det_p for num in row) for row in nums)
+        if _transform(g1, mat) == g2:
+            found += [mat, tuple(tuple(-v for v in row) for row in mat)]
+    return tuple(sorted(found, key=lambda mat: tuple(zip(*mat))))
+
+
+def small_square_forms(n):
+    """Every [[a, b], [b, c]] of determinant -n^2 with |a|, |b| <= 5: c from
+    the determinant, or any |c| <= 5 when a = 0."""
+    forms = []
+    for a in range(-5, 6):
+        for b in range(-5, 6):
+            if a:
+                c, rest = divmod(b * b - n * n, a)
+                if not rest:
+                    forms.append(((a, b), (b, c)))
+            elif b * b == n * n:
+                forms += [((0, b), (b, c)) for c in range(-5, 6)]
+    return forms
+
+
 class TestIsometries:
     @pytest.mark.parametrize(
         "gram,n",
@@ -120,6 +173,20 @@ class TestIsometries:
             assert box_isometries(g1, g2, 6) == within(found, 6), (g1, g2)
             beyond += len(found) - len(within(found, 6))
         assert beyond > 0  # the grid has isometries outside the box, too
+
+    def test_matches_the_reference_on_every_small_form(self):
+        """Every ordered pair of small_square_forms(n) for n <= 8: 51,168
+        pairs, 12,312 of them with an isometry."""
+        pairs = isometric = 0
+        for n in range(1, 9):
+            forms = small_square_forms(n)
+            for g1 in forms:
+                for g2 in forms:
+                    found = isometries(g1, g2)
+                    assert found == reference_isometries(g1, g2), (g1, g2)
+                    pairs += 1
+                    isometric += bool(found)
+        assert (pairs, isometric) == (51168, 12312)
 
     def test_automorphs_form_a_group_with_plus_minus_one(self):
         for gram in random_square_forms(random.Random(13), 300):

@@ -16,10 +16,14 @@ from conftest import family_grid
 
 from latfm import cli
 from latfm.arith import MR_LIMIT, prime_factorization
+from latfm.binary import search_outcome
 from latfm.cli import COMMANDS, run
 from latfm.discriminant import ModuleIsometry, cyclic_module
+from latfm.errors import BudgetExhaustedError
 from latfm.family import FamilyBundle, GenusData, NikulinAttestation, build_family
-from latfm.lattices import Lattice
+from latfm.fmcount import fm_count_rho1_via_cosets, fm_count_rho1_with_p
+from latfm.lattices import Lattice, make_lattice
+from latfm.oracle import SearchBudget
 import latfm.fmcount
 import latfm.selfcheck
 from latfm.selfcheck import CHECKS, run_selftest
@@ -333,6 +337,128 @@ class TestIsometry:
         )
         assert (code, out) == (2, "")
         assert err == f"usage error: {flag} must be a positive integer, got {value}\n"
+
+
+def fm_count_payload(ds, verify) -> dict:
+    """The payload of `fm-count --json` over the ds as a dict, the oracle of
+    the command's own JSON writer: its text is json.dumps(payload, indent=2)."""
+    rows = []
+    for d in ds:
+        p, partners = fm_count_rho1_with_p(d)
+        row = {"degree": 2 * d, "d": d, "p": p, "fm_partners": partners}
+        if verify:
+            row["fm_partners_via_cosets"] = fm_count_rho1_via_cosets(d)
+        rows.append(row)
+    return {"results": rows}
+
+
+def isometry_stdout(g1, g2, entries):
+    """json.dumps(payload, indent=2) + "\n" of the payload of `isometry
+    --json` at --budget-entries `entries`, from the witness search_outcome
+    gives; None where it exhausts the budget (exit 3, nothing on stdout)."""
+    try:
+        witness = search_outcome(make_lattice(g1), make_lattice(g2),
+                                 SearchBudget(entry_bound=entries))
+    except BudgetExhaustedError:
+        return None
+    if witness is None:
+        payload = {"isometric": False, "reason": "invariant mismatch"}
+    else:
+        payload = {"isometric": True, "matrix": [list(row) for row in witness.matrix]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def gram_arg(gram) -> str:
+    return json.dumps(gram).replace(" ", "")
+
+
+class TestWritersAgainstThePayload:
+    """`fm-count --json` and `isometry --json` write fixed templates; their
+    stdout is json.dumps(payload, indent=2) + "\n" of the payload dict.
+
+    Grid: fm-count --degree 2..600 with and without --verify, --range with
+    one row and with many, a 40-digit degree; isometry on every pair of
+    [[2d, n], [n, 0]] with n in {5, 7, 11, 13}, 1 <= d1 <= 12 and
+    1 <= d2 <= 51 (what the benchmark draws, and more), on every pair of
+    [[a, b], [b, c]] of one determinant -n^2 with n <= 3 and |a|, |b|, |c| <= 3
+    at --budget-entries 1, 3 and 50 (witnesses, mismatches of parity and
+    exit-3 pairs), a 2x2 mismatch of determinants, and the rank-1 and rank-3
+    witnesses and the rank-1 mismatch that the generic writer keeps."""
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_fm_count_degrees(self, verify):
+        flags = ["--verify"] if verify else []
+        for degree in range(2, 601, 2):
+            argv = ["fm-count", "--degree", str(degree), "--json"] + flags
+            expected = json.dumps(fm_count_payload([degree // 2], verify), indent=2) + "\n"
+            assert invoke(argv) == (0, expected, ""), argv
+
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("degrees", ["2..2", "600..600", "2..120", "1000..1200"])
+    def test_fm_count_ranges(self, degrees, verify):
+        lo, hi = map(int, degrees.split(".."))
+        argv = ["fm-count", "--range", degrees] + (["--verify"] if verify else [])
+        expected = fm_count_payload(range(lo // 2, hi // 2 + 1), verify)
+        assert invoke(argv + ["--json"]) == (0, json.dumps(expected, indent=2) + "\n", "")
+        # the text lines read the same rows
+        lines = [f"degree={row['degree']} d={row['d']} p={row['p']} "
+                 f"fm_partners={row['fm_partners']}"
+                 + (f" via_cosets={row['fm_partners_via_cosets']}" if verify else "") + "\n"
+                 for row in expected["results"]]
+        assert invoke(argv) == (0, "".join(lines), "")
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_fm_count_of_a_forty_digit_degree(self, verify):
+        d = 10**39 // 2 * 3  # degree 3 * 10^39, of 40 digits
+        argv = ["fm-count", "--degree", str(2 * d), "--json"] + (["--verify"] if verify else [])
+        expected = json.dumps(fm_count_payload([d], verify), indent=2) + "\n"
+        assert len(str(2 * d)) == 40
+        assert invoke(argv) == (0, expected, "")
+
+    @staticmethod
+    def check_isometry(g1, g2, entries):
+        argv = ["isometry", "--gram1", gram_arg(g1), "--gram2", gram_arg(g2),
+                "--budget-entries", str(entries), "--json"]
+        code, out, err = invoke(argv)
+        expected = isometry_stdout(g1, g2, entries)
+        if expected is None:
+            assert (code, out) == (3, ""), argv
+            assert err.startswith("budget exhausted: "), argv
+        else:
+            assert (code, out, err) == (0, expected, ""), argv
+        return "exhausted" if expected is None else json.loads(expected)["isometric"]
+
+    def test_family_pairs(self):
+        seen = set()
+        for n in (5, 7, 11, 13):
+            for d1 in range(1, 13):
+                for d2 in range(1, 52):
+                    seen.add(self.check_isometry([[2 * d1, n], [n, 0]], [[2 * d2, n], [n, 0]], 50))
+        assert seen == {True, "exhausted"}
+
+    def test_small_forms_at_small_bounds(self):
+        seen = set()
+        for n in (1, 2, 3):
+            forms = [[[a, b], [b, c]] for a in range(-3, 4) for b in range(-3, 4)
+                     for c in range(-3, 4) if b * b - a * c == n * n]
+            for g1 in forms:
+                for g2 in forms:
+                    for entries in (1, 3, 50):
+                        seen.add(self.check_isometry(g1, g2, entries))
+        assert seen == {True, False, "exhausted"}
+
+    @pytest.mark.parametrize(
+        "g1,g2,isometric",
+        [
+            ([[2, 5], [5, 0]], [[2, 7], [7, 0]], False),  # two determinants
+            ([[2]], [[2]], True),
+            ([[-6]], [[-6]], True),
+            ([[2]], [[4]], False),
+            ([[2, 1, 0], [1, 2, 1], [0, 1, 4]], [[2, 1, 1], [1, 2, 0], [1, 0, 4]], True),
+        ],
+    )
+    def test_other_shapes(self, g1, g2, isometric):
+        assert self.check_isometry(g1, g2, 50) is isometric
 
 
 class TestOrbits:

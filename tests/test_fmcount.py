@@ -27,6 +27,9 @@ from latfm.fmcount import (
 from latfm.lattices import Lattice, U, direct_sum, make_lattice
 from latfm.oracle import closure, enumerate_self_isometries, units_with_square_one
 
+# bool is an int subclass that the number theory refuses, as Frozen fields do
+NON_INTS = [True, False, 6.0, Fraction(6), "6", None]
+
 
 class TestPrimeHelpers:
     @pytest.mark.parametrize(
@@ -47,6 +50,17 @@ class TestPrimeHelpers:
         for d in range(1, 2001):
             expected = tuple(r for r in range(1, d + 1) if d % r == 0 and gcd(r, d // r) == 1)
             assert unitary_divisors(d) == expected, d
+
+    @pytest.mark.parametrize("d", NON_INTS)
+    def test_distinct_prime_count_refuses_a_non_int(self, d):
+        with pytest.raises(LatfmError, match="d must be an integer"):
+            distinct_prime_count(d)
+
+    @pytest.mark.parametrize("d", NON_INTS)
+    def test_the_callers_pass_the_refusal_on(self, d):
+        for fn in (fm_count_rho1, prime_power_blocks, unitary_divisors):
+            with pytest.raises(LatfmError, match="must be an integer"):
+                fn(d)
 
     def test_least_prime_above(self):
         assert least_prime_above(1) == 2
@@ -86,6 +100,13 @@ class TestCosetRoute:
     def test_nonpositive_d_is_an_error(self, d):
         with pytest.raises(LatfmError, match="d must be positive"):
             fm_count_rho1_via_cosets(d)
+
+    @pytest.mark.parametrize("d", NON_INTS)
+    def test_a_non_int_is_refused_before_the_memo(self, d):
+        before = fmcount._rank1_term.cache_info()
+        with pytest.raises(LatfmError, match="d must be an integer"):
+            fm_count_rho1_via_cosets(d)
+        assert fmcount._rank1_term.cache_info() == before
 
     def test_unit_route_matches_module_search(self):
         # the units realize exactly the orthogonal group found by search

@@ -223,6 +223,30 @@ def test_family_json_runs_no_generic_writer_and_no_root_search(monkeypatch):
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FAMILY_3_2[ambient]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isometry", "--gram1", "[[2,5],[5,0]]", "--gram2", "[[12,5],[5,0]]", "--json"],
+        ["isometry", "--gram1", "[[2,5],[5,0]]", "--gram2", "[[4,7],[7,0]]", "--json"],
+        ["fm-count", "--degree", "420", "--verify", "--json"],
+        ["fm-count", "--range", "2..12", "--json"],
+    ],
+)
+def test_isometry_and_fm_count_json_run_no_generic_writer(monkeypatch, argv):
+    # a rank-2 witness, an invariant mismatch and fm-count rows are written
+    # into fixed templates
+    plain = io.StringIO()
+    assert latfm.cli.run(argv, plain, io.StringIO()) == 0
+
+    def refuse(*args):
+        raise AssertionError("the command ran the generic writer")
+
+    monkeypatch.setattr(latfm.cli, "_json_text", refuse)
+    out = io.StringIO()
+    assert latfm.cli.run(argv, out, io.StringIO()) == 0
+    assert out.getvalue() == plain.getvalue()
+
+
 def test_family_attests_without_the_module_search(monkeypatch):
     # each attestation's module isometry is checked in closed form: neither
     # the module search nor the unit square roots under it run
